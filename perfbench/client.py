@@ -63,6 +63,7 @@ def _wire(host: str, port: int, kind: str, users: tuple[int, ...], n: int) -> by
 def schedule(
     seed: int,
     *,
+    part: int,
     rate: float,
     seconds: float,
     threads: int,
@@ -72,9 +73,13 @@ def schedule(
     host: str,
     port: int,
 ) -> list[list[Request]]:
-    """Per-thread request lists; the same arguments give the same lists."""
+    """Per-thread request lists of one read slice.
+
+    ``part`` numbers the slices of a run, so that each plays its own
+    arrivals; the same arguments give the same lists.
+    """
     plans = []
-    for stream in np.random.SeedSequence(seed).spawn(threads):
+    for stream in np.random.SeedSequence([seed, part]).spawn(threads):
         rng = np.random.default_rng(stream)
         gaps = rng.exponential(threads / rate, size=int(seconds * rate / threads * 2) + 16)
         due = np.cumsum(gaps)
@@ -168,9 +173,11 @@ def run(address: tuple[str, int], plans: list[list[Request]], start: float) -> l
     return outcomes
 
 
-def summary(plans: list[list[Request]], outcomes: list[Outcome], start: float) -> dict[str, Any]:
-    """Latency from due, lateness and client CPU over every request."""
-    due = np.array([start + r.due for plan in plans for r in plan])
+def summary(slices: list[tuple[list[list[Request]], list[Outcome], float]]) -> dict[str, Any]:
+    """Latency from due, lateness and client CPU over every request of every
+    slice, each slice given as ``(plans, outcomes, start)``."""
+    due = np.array([start + r.due for plans, _, start in slices for plan in plans for r in plan])
+    outcomes = [out for _, slice_outcomes, _ in slices for out in slice_outcomes]
     sent = np.array([t for out in outcomes for t in out.sent])
     received = np.array([t for out in outcomes for t in out.received])
     count = max(due.size, 1)

@@ -1,7 +1,7 @@
 """Per-layer metrics of a traced run, derived from the spans it wrote.
 
 Every name the benchmark declares is always present: a layer the workload
-does not reach reports 0.  Seconds are totals over the measured phase,
+does not reach reports 0.  Seconds are totals over the read slices,
 except where noted: on build-ganc they are per build, and ``update.*_s``
 and ``store.reload_s`` are medians per delta (so that ``freshness_s`` ≈
 ``update.wait_s`` + ``update.process_s`` + ``store.reload_s`` + one poll).
@@ -81,12 +81,12 @@ class SpanFile:
         self.cpu_s = float(payload["cpu_s"])
         self.main_start = float(payload["main_start"])
 
-    def select(self, name: str, window: tuple[float, float] | None = None) -> list[dict[str, Any]]:
-        """Outermost ``name`` spans, started inside ``window`` when given."""
+    def select(self, name: str, windows: list[tuple[float, float]] | None = None) -> list[dict[str, Any]]:
+        """Outermost ``name`` spans, started inside one of ``windows`` when given."""
         found = outermost(self.spans, name)
-        if window is None:
+        if windows is None:
             return found
-        return [s for s in found if window[0] <= s["start"] < window[1]]
+        return [s for s in found if any(lo <= s["start"] < hi for lo, hi in windows)]
 
 
 def _seconds(spans: Iterable[dict[str, Any]]) -> float:
@@ -101,17 +101,19 @@ def _median(values: list[float]) -> float:
     return statistics.median(values) if values else 0.0
 
 
-def model_layers(files: list[SpanFile], window: tuple[float, float] | None, per: float) -> dict[str, float]:
+def model_layers(
+    files: list[SpanFile], windows: list[tuple[float, float]] | None, per: float
+) -> dict[str, float]:
     """The offline layers (data … serving.artifact), divided by ``per``."""
 
     def pick(name: str) -> list[dict[str, Any]]:
-        return [s for f in files for s in f.select(name, window)]
+        return [s for f in files for s in f.select(name, windows)]
 
     def self_of(name: str) -> float:
         total = 0.0
         for f in files:
             own = self_times(f.spans)
-            total += sum(own[s["id"]] for s in f.select(name, window))
+            total += sum(own[s["id"]] for s in f.select(name, windows))
         return total
 
     scored = _count(pick("recommenders.score"), "rows")
@@ -156,20 +158,24 @@ def trace_layers(batch: list[SpanFile], every: list[SpanFile]) -> dict[str, floa
     }
 
 
-def serving_layers(
-    server: SpanFile,
-    window: tuple[float, float],
-    client: dict[str, Any],
-    before: dict[str, Any],
-    after: dict[str, Any],
-    server_cpu_s: float,
-) -> dict[str, float]:
-    """The store, HTTP and client layers over the measured phase."""
-    lookups = _seconds(server.select("store.lookup", window))
+def serving_layers(server: SpanFile, run: dict[str, Any]) -> dict[str, float]:
+    """The store, HTTP and client layers over the measured slices of ``run``.
+
+    ``run`` holds the slices' ``windows``, the ``/healthz`` payloads read
+    before and after each (``counters``), the server's CPU seconds over
+    them and the client summary.
+    """
+    windows, client = run["windows"], run["client"]
+    lookups = _seconds(server.select("store.lookup", windows))
     requests = max(client["requests"], 1)
 
-    def delta(section: str, key: str) -> float:
-        return float(after[section][key] - before[section][key])
+    def delta(*keys: str) -> float:
+        def at(payload: dict[str, Any]) -> float:
+            for key in keys:
+                payload = payload[key]
+            return payload
+
+        return float(sum(at(after) - at(before) for before, after in run["counters"]))
 
     rows = delta("served", "artifact_rows") + delta("served", "fallback_rows")
     batches = delta("coalescing", "batches")
@@ -178,11 +184,11 @@ def serving_layers(
         "store.rows_per_call": delta("coalescing", "batched_rows") / batches if batches else 0.0,
         "store.fallback_share": delta("served", "fallback_rows") / rows if rows else 0.0,
         "store.reload_s": _median(
-            [s["end"] - s["start"] for s in server.select("store.reload", window)]
+            [s["end"] - s["start"] for s in server.select("store.reload", windows)]
         ),
-        "store.reloads": float(after["reloads"] - before["reloads"]),
-        "store.reload_failures": float(after["reload_failures"] - before["reload_failures"]),
-        "http.self_cpu_ms": (server_cpu_s - lookups) / requests * 1e3,
+        "store.reloads": delta("reloads"),
+        "store.reload_failures": delta("reload_failures"),
+        "http.self_cpu_ms": (run["server_cpu_s"] - lookups) / requests * 1e3,
         "http.single_rows": delta("coalescing", "single_rows"),
         "http.non200": float(client["non200"]),
         "client.late_p50_ms": client["late_p50_ms"],

@@ -8,6 +8,7 @@ schedule the run used.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import shutil
@@ -53,14 +54,18 @@ SETUP_REPEATS = 5
 #: build-ganc builds until ``--seconds`` of build time are spent, and at
 #: least this often, so that its medians never rest on one build.
 MIN_BUILDS = 2
-#: build-ganc then serves the first build's artifact for this long (at most
-#: ``--seconds``), every request at the compiled n.
-BUILD_READ_S = 5.0
+#: build-ganc serves the first build's artifact, every request at the
+#: compiled n, for this long in all (at most ``--seconds``): in slices of
+#: ``READ_SLICE_S`` after each build, the rest after the last.
+BUILD_READ_S, READ_SLICE_S = 9.0, 3.0
+#: Untimed reads that warm a served tier before its first measured slice.
+WARM_S = 1.0
 #: Offered request rate of the open-loop client.
 RATE = 500.0
-#: serve-refresh: one delta is due every interval.  Each has existing users
-#: rating items new to them, plus a few new users with integer ids.
-DELTA_INTERVAL_S = 3.0
+#: serve-refresh: one delta is due this long into every read slice.  Each
+#: has existing users rating items new to them, plus a few new users with
+#: integer ids.
+DELTA_DUE_S = 0.5
 DELTA_USERS, DELTA_RATINGS_PER_USER, DELTA_NEW_USERS = 60, 5, 4
 BUILD_TIMEOUT_S, UPDATE_TIMEOUT_S = 150.0, 60.0
 
@@ -127,7 +132,11 @@ def _same_tree(left: Path, right: Path) -> bool:
 # build-ganc
 # --------------------------------------------------------------------------- #
 def build_ganc(ctx: Context) -> tuple[dict[str, Any], dict[str, Any]]:
-    """Fresh-process builds of a GANC artifact from a ratings CSV."""
+    """Fresh-process builds of a GANC artifact from a ratings CSV.
+
+    A read slice of the first build's artifact follows every build, so that
+    the reads, like the builds, are spread over the whole run.
+    """
     size = ctx.size(BUILD_SIZE)
     csv = _generate(ctx, size)
     probe = {"probe": True}
@@ -143,8 +152,17 @@ def build_ganc(ctx: Context) -> tuple[dict[str, Any], dict[str, Any]]:
 
     reference = ctx.work / "reference"
     builds: list[dict[str, Any]] = []
+    slices: list[dict[str, Any]] = []
     measured = 0.0
     quality_values: dict[str, float] = {}
+    server: Server | None = None
+    read_s = min(ctx.seconds, BUILD_READ_S)
+
+    def read(most: float) -> None:
+        seconds = min(most, read_s - sum(s["seconds"] for s in slices))
+        if seconds > 0:
+            slices.append(_read(ctx, server, manifest, len(slices) + 1, seconds, second_n=N))
+
     while len(builds) < MIN_BUILDS or measured < ctx.seconds:
         k = len(builds)
         probes(str(k))
@@ -161,17 +179,20 @@ def build_ganc(ctx: Context) -> tuple[dict[str, Any], dict[str, Any]]:
             ok = report["rows_equal"]
             quality_values = report["quality"]
             shutil.copytree(artifact, reference)
+            server = Server(ctx.procs, reference, None, spans=None, name="reader")
+            server.wait_healthy()
+            manifest = json.loads((reference / "manifest.json").read_text(encoding="utf-8"))
+            _warm(ctx, server, manifest, second_n=N)
         else:
             ok = _same_tree(artifact, reference)
         measured += report["build_s"]
         starts.append(report["ready"] - spawned)
         builds.append({**report, "ok": ok, "fresh_s": report["built"] - spawned})
+        read(READ_SLICE_S)
+    assert server is not None
     probes("last")
-
-    server = Server(ctx.procs, reference, None, spans=None, name="reader")
-    server.wait_healthy()
-    manifest = json.loads((reference / "manifest.json").read_text(encoding="utf-8"))
-    run = _measure(ctx, server, manifest, seconds=min(ctx.seconds, BUILD_READ_S), second_n=N)
+    read(read_s)
+    run = _combine(slices, server)
     server.stop()
     good_reads = _good_responses(RecommendationStore(reference), run)
 
@@ -180,7 +201,8 @@ def build_ganc(ctx: Context) -> tuple[dict[str, Any], dict[str, Any]]:
     result = {"correct": len(good) + good_reads == attempted, "attempted": attempted,
               "failed": attempted - len(good) - good_reads}
     environment = {
-        "input": size, "oslg_sample_size": SAMPLE_SIZE, "n": N, "read_s": run["seconds"],
+        "input": size, "oslg_sample_size": SAMPLE_SIZE, "n": N,
+        "read_slices_s": [s["seconds"] for s in slices], "warm_s": WARM_S,
         "rate_per_s": RATE, "client_threads": client_threads(),
         "samples": {
             "setup_s": starts,
@@ -215,39 +237,33 @@ def build_ganc(ctx: Context) -> tuple[dict[str, Any], dict[str, Any]]:
 # --------------------------------------------------------------------------- #
 # Shared by the serving workloads
 # --------------------------------------------------------------------------- #
-def _serve_setup(ctx: Context, model: str, covered_share: float | None) -> tuple[Server, list[dict], dict]:
-    """Build, serve and warm ``SETUP_REPEATS`` times; the last server stays up."""
-    csv = _generate(ctx, ctx.size(SERVE_SIZE))
-    work = ctx.work / "serve"
-    server: Server | None = None
-    setups = []
-    for k in range(SETUP_REPEATS):
-        if server is not None:
-            server.stop()
-        shutil.rmtree(work, ignore_errors=True)
-        max_users = None
-        if covered_share is not None:
-            max_users = int(ctx.size(SERVE_SIZE)["n_users"] * covered_share)
-        request = {"csv": str(csv), "dir": str(work), "model": model,
-                   "max_users": max_users, "save_pipeline": True}
-        report, spawned = _build(ctx, request, f"setup{k}")
-        if report is None:
-            raise RuntimeError(f"set-up build {k} failed")
-        server = Server(ctx.procs, work / "artifact", work / "pipeline",
-                        spans=ctx.spans(f"server{k}"), name=f"server{k}")
-        healthy = server.wait_healthy()
-        manifest = json.loads((work / "artifact" / "manifest.json").read_text(encoding="utf-8"))
-        uncovered = manifest["n_users"] if manifest["n_users"] < manifest["n_users_total"] else 0
-        statuses = [server.get(f"/recommend?user={uncovered}&n={N}")[0],
-                    server.get(f"/recommend?user=0&n={SECOND_N}")[0]]
-        setups.append({
-            "setup_s": clock() - spawned,
-            "build_s": report["build_s"],
-            "fresh_s": healthy - spawned,
-            "ok": statuses == [200, 200],
-        })
-    assert server is not None
-    return server, setups, manifest
+def _setup(
+    ctx: Context, csv: Path, model: str, max_users: int | None, directory: Path, k: int
+) -> tuple[Server, dict[str, Any], dict[str, Any]]:
+    """One set-up: build and compile into ``directory``, serve, warm.
+
+    Returns the running tier, the set-up's record and its artifact manifest.
+    """
+    shutil.rmtree(directory, ignore_errors=True)
+    request = {"csv": str(csv), "dir": str(directory), "model": model,
+               "max_users": max_users, "save_pipeline": True}
+    report, spawned = _build(ctx, request, f"setup{k}")
+    if report is None:
+        raise RuntimeError(f"set-up build {k} failed")
+    server = Server(ctx.procs, directory / "artifact", directory / "pipeline",
+                    spans=ctx.spans(f"server{k}"), name=f"server{k}")
+    healthy = server.wait_healthy()
+    manifest = json.loads((directory / "artifact" / "manifest.json").read_text(encoding="utf-8"))
+    uncovered = manifest["n_users"] if manifest["n_users"] < manifest["n_users_total"] else 0
+    statuses = [server.get(f"/recommend?user={uncovered}&n={N}")[0],
+                server.get(f"/recommend?user=0&n={SECOND_N}")[0]]
+    record = {
+        "setup_s": clock() - spawned,
+        "build_s": report["build_s"],
+        "fresh_s": healthy - spawned,
+        "ok": statuses == [200, 200],
+    }
+    return server, record, manifest
 
 
 def _expected_body(store: Any, request: client.Request) -> bytes:
@@ -267,14 +283,14 @@ def _expected_body(store: Any, request: client.Request) -> bytes:
     return recommend_body(recommend_payload(store, request.users[0], request.n, items, scores, source))
 
 
-def _measure(
-    ctx: Context, server: Server, manifest: dict, during=None, *,
-    seconds: float | None = None, second_n: int = SECOND_N,
+def _read(
+    ctx: Context, server: Server, manifest: dict, part: int, seconds: float, *,
+    second_n: int = SECOND_N, during=None,
 ) -> dict[str, Any]:
-    """Play the read schedule against ``server``; ``during`` runs beside it."""
-    seconds = ctx.seconds if seconds is None else seconds
+    """Play slice ``part`` of the read schedule against ``server``; ``during``
+    runs beside it."""
     plans = client.schedule(
-        ctx.seed, rate=RATE, seconds=seconds, threads=client_threads(),
+        ctx.seed, part=part, rate=RATE, seconds=seconds, threads=client_threads(),
         n_users=manifest["n_users_total"], n=N, second_n=second_n,
         host=server.address[0], port=server.address[1],
     )
@@ -290,13 +306,50 @@ def _measure(
         side.join(UPDATE_TIMEOUT_S)
     end = clock()
     server_cpu = cpu_s(server.pid) - cpu_before
-    after = server.healthz()
-    summary = client.summary(plans, outcomes, start)
     return {
-        "seconds": seconds, "plans": plans, "outcomes": outcomes, "window": (start, end),
-        "before": before, "after": after, "server_cpu_s": server_cpu, "client": summary,
+        "seconds": seconds, "plans": plans, "outcomes": outcomes, "start": start,
+        "window": (start, end), "before": before, "after": server.healthz(),
+        "server_cpu_s": server_cpu,
+    }
+
+
+def _warm(ctx: Context, server: Server, manifest: dict, second_n: int = SECOND_N) -> None:
+    """Untimed reads (slice 0, answers unchecked) before the measured ones."""
+    _read(ctx, server, manifest, 0, min(ctx.seconds, WARM_S), second_n=second_n)
+
+
+def _combine(slices: list[dict[str, Any]], server: Server) -> dict[str, Any]:
+    """The measured slices of one run, taken together."""
+    return {
+        "plans": [plan for s in slices for plan in s["plans"]],
+        "outcomes": [outcome for s in slices for outcome in s["outcomes"]],
+        "windows": [s["window"] for s in slices],
+        "counters": [(s["before"], s["after"]) for s in slices],
+        "server_cpu_s": sum(s["server_cpu_s"] for s in slices),
+        "client": client.summary([(s["plans"], s["outcomes"], s["start"]) for s in slices]),
         "rss_mb": peak_rss_mb(server.pid),
     }
+
+
+def _read_between_setups(
+    ctx: Context, csv: Path, model: str, max_users: int | None, server: Server,
+    manifest: dict, during=None,
+) -> tuple[list[dict[str, Any]], list[dict[str, Any]]]:
+    """Warm ``server`` (set-up 0's tier), then read it in ``SETUP_REPEATS``
+    slices with set-ups 1, 2, ... between them, so that reads and set-ups
+    both spread over the run.  ``during(k, start)`` runs beside slice ``k``
+    (from 0).  Returns the records of the further set-ups and the slices.
+    """
+    _warm(ctx, server, manifest)
+    setups, slices = [], []
+    for k in range(SETUP_REPEATS):
+        side = None if during is None else functools.partial(during, k)
+        slices.append(_read(ctx, server, manifest, k + 1, ctx.seconds / SETUP_REPEATS, during=side))
+        if k + 1 < SETUP_REPEATS:
+            other, record, _ = _setup(ctx, csv, model, max_users, ctx.work / "other", k + 1)
+            other.stop()
+            setups.append(record)
+    return setups, slices
 
 
 def _good_responses(store: Any, run: dict) -> int:
@@ -338,11 +391,15 @@ def _schedule_record(size: dict[str, int], setups: list[dict]) -> dict[str, Any]
 # --------------------------------------------------------------------------- #
 def serve_read(ctx: Context) -> tuple[dict[str, Any], dict[str, Any]]:
     """Open-loop reads against a GANC artifact with an uncovered user share."""
-    server, setups, manifest = _serve_setup(ctx, "ganc", COVERED_SHARE)
-    run = _measure(ctx, server, manifest)
+    csv = _generate(ctx, ctx.size(SERVE_SIZE))
+    max_users = int(ctx.size(SERVE_SIZE)["n_users"] * COVERED_SHARE)
+    work = ctx.work / "serve"
+    server, record, manifest = _setup(ctx, csv, "ganc", max_users, work, 0)
+    setups, slices = _read_between_setups(ctx, csv, "ganc", max_users, server, manifest)
+    setups.insert(0, record)
+    run = _combine(slices, server)
     server.stop()
 
-    work = ctx.work / "serve"
     good = _good_responses(RecommendationStore(work / "artifact", pipeline=work / "pipeline"), run)
     good += sum(s["ok"] for s in setups)
     attempted = run["client"]["requests"] + len(setups)
@@ -353,11 +410,10 @@ def serve_read(ctx: Context) -> tuple[dict[str, Any], dict[str, Any]]:
     environment["covered_users"] = manifest["n_users"]
     if ctx.trace:
         setup_files = [SpanFile(ctx.spans(f"setup{k}")) for k in range(len(setups))]
-        server_file = SpanFile(ctx.spans(f"server{len(setups) - 1}"))
+        server_file = SpanFile(ctx.spans("server0"))
         result["metrics"] = assemble(
-            model_layers([server_file], run["window"], per=1),
-            serving_layers(server_file, run["window"], run["client"], run["before"],
-                           run["after"], run["server_cpu_s"]),
+            model_layers([server_file], run["windows"], per=1),
+            serving_layers(server_file, run),
             trace_layers(setup_files, setup_files + [server_file]),
         )
         return result, environment
@@ -413,37 +469,39 @@ def _make_deltas(ctx: Context, csv: Path, count: int) -> list[Path]:
     return deltas
 
 
-def _apply_deltas(ctx: Context, server: Server, deltas: list[Path],
-                  records: list[dict], start: float) -> None:
-    """Apply each delta when due: ``repro compile --update --delta``, SIGHUP,
-    then poll ``/healthz`` until the new revision is served."""
+def _apply_delta(ctx: Context, server: Server, path: Path, k: int,
+                 records: list[dict], start: float) -> None:
+    """Apply delta ``k`` when due: ``repro compile --update --delta``, SIGHUP,
+    then poll ``/healthz`` until the new revision is served.  Nothing is
+    applied once an earlier delta has failed."""
+    if any("seen" not in r for r in records):
+        return
     work = ctx.work / "serve"
-    for k, path in enumerate(deltas):
-        due = start + (k + 1) * DELTA_INTERVAL_S
-        if due > clock():
-            time.sleep(due - clock())
-        cli = ["compile", "--update", "--delta", str(path), "--pipeline", str(work / "pipeline"),
-               "--artifact", str(work / "artifact")]
-        spans = ctx.spans(f"update{k}")
-        args = [str(HERE / "launch.py"), str(spans), *cli] if spans else ["-m", "repro", *cli]
-        began = clock()
-        code, rss = ctx.procs.run(args, name=f"update{k}", timeout=UPDATE_TIMEOUT_S)
-        record = {"due": due, "began": began, "exited": clock(), "code": code, "rss_mb": rss}
-        records.append(record)
-        if code != 0:
+    due = start + DELTA_DUE_S
+    if due > clock():
+        time.sleep(due - clock())
+    cli = ["compile", "--update", "--delta", str(path), "--pipeline", str(work / "pipeline"),
+           "--artifact", str(work / "artifact")]
+    spans = ctx.spans(f"update{k}")
+    args = [str(HERE / "launch.py"), str(spans), *cli] if spans else ["-m", "repro", *cli]
+    began = clock()
+    code, rss = ctx.procs.run(args, name=f"update{k}", timeout=UPDATE_TIMEOUT_S)
+    record = {"due": due, "began": began, "exited": clock(), "code": code, "rss_mb": rss}
+    records.append(record)
+    if code != 0:
+        return
+    manifest = json.loads((work / "artifact" / "manifest.json").read_text(encoding="utf-8"))
+    revision = int(manifest["revision"])
+    record["hup"] = clock()
+    os.kill(server.pid, signal.SIGHUP)
+    deadline = clock() + UPDATE_TIMEOUT_S
+    while server.healthz()["revision"] < revision:
+        if clock() > deadline:
             return
-        manifest = json.loads((work / "artifact" / "manifest.json").read_text(encoding="utf-8"))
-        revision = int(manifest["revision"])
-        record["hup"] = clock()
-        os.kill(server.pid, signal.SIGHUP)
-        deadline = clock() + UPDATE_TIMEOUT_S
-        while server.healthz()["revision"] < revision:
-            if clock() > deadline:
-                return
-            time.sleep(0.005)
-        record["seen"] = clock()
-        record["revision"] = revision
-        shutil.copytree(work / "artifact", ctx.work / "revisions" / str(revision))
+        time.sleep(0.005)
+    record["seen"] = clock()
+    record["revision"] = revision
+    shutil.copytree(work / "artifact", ctx.work / "revisions" / str(revision))
 
 
 def _scratch_compile(ctx: Context, deltas: list[Path]) -> Any:
@@ -467,17 +525,22 @@ def _same_artifact(updated: Path, scratch: Path) -> bool:
 
 
 def serve_refresh(ctx: Context) -> tuple[dict[str, Any], dict[str, Any]]:
-    """Reads beside a fixed schedule of rating deltas and warm reloads."""
-    server, setups, manifest = _serve_setup(ctx, "knn", None)
+    """Reads beside a fixed schedule of rating deltas and warm reloads: one
+    delta arrives in every read slice."""
+    csv = _generate(ctx, ctx.size(SERVE_SIZE))
     work = ctx.work / "serve"
+    server, record, manifest = _setup(ctx, csv, "knn", None, work, 0)
     shutil.copytree(work / "pipeline", ctx.work / "pipeline0")
     first = int(manifest["revision"])
     shutil.copytree(work / "artifact", ctx.work / "revisions" / str(first))
-    count = max(1, round(ctx.seconds / DELTA_INTERVAL_S) - 1)
-    deltas = _make_deltas(ctx, work.parent / "ratings.csv", count)
+    deltas = _make_deltas(ctx, csv, SETUP_REPEATS)
     records: list[dict] = []
-    run = _measure(ctx, server, manifest,
-                   during=lambda start: _apply_deltas(ctx, server, deltas, records, start))
+    setups, slices = _read_between_setups(
+        ctx, csv, "knn", None, server, manifest,
+        during=lambda k, start: _apply_delta(ctx, server, deltas[k], k, records, start),
+    )
+    setups.insert(0, record)
+    run = _combine(slices, server)
     server.stop()
 
     applied = [r for r in records if "seen" in r]
@@ -522,7 +585,7 @@ def serve_refresh(ctx: Context) -> tuple[dict[str, Any], dict[str, Any]]:
     environment = _schedule_record(ctx.size(SERVE_SIZE), setups)
     environment["samples"]["freshness_s"] = [r["seen"] - r["due"] for r in applied]
     environment["delta_schedule"] = {
-        "count": len(deltas), "interval_s": DELTA_INTERVAL_S, "first_due_s": DELTA_INTERVAL_S,
+        "count": len(deltas), "due_in_slice_s": DELTA_DUE_S,
         "existing_users": DELTA_USERS, "ratings_per_user": DELTA_RATINGS_PER_USER,
         "new_users": DELTA_NEW_USERS,
     }
@@ -545,7 +608,7 @@ def serve_refresh(ctx: Context) -> tuple[dict[str, Any], dict[str, Any]]:
 def _refresh_layers(ctx: Context, setups: list[dict], records: list[dict], run: dict) -> list[dict]:
     """Per-layer parts of a traced serve-refresh run."""
     setup_files = [SpanFile(ctx.spans(f"setup{k}")) for k in range(len(setups))]
-    server_file = SpanFile(ctx.spans(f"server{len(setups) - 1}"))
+    server_file = SpanFile(ctx.spans("server0"))
     update_files = [SpanFile(ctx.spans(f"update{k}")) for k in range(len(records))]
     compiles = [s for f in update_files for s in f.select("update.compile")]
     recomputed = sum(s["counts"].get("rows", 0.0) for s in compiles)
@@ -576,10 +639,9 @@ def _refresh_layers(ctx: Context, setups: list[dict], records: list[dict], run: 
         "update.failed": float(sum(r["code"] != 0 for r in records)),
     }
     return [
-        model_layers(update_files + [server_file], run["window"], per=1),
+        model_layers(update_files + [server_file], run["windows"], per=1),
         updates,
-        serving_layers(server_file, run["window"], run["client"], run["before"], run["after"],
-                       run["server_cpu_s"]),
+        serving_layers(server_file, run),
         trace_layers(setup_files + update_files, setup_files + update_files + [server_file]),
     ]
 
