@@ -1,4 +1,4 @@
-"""Scale benchmark: out-of-core ingestion + ANN retrieval at the 10M-rating mark.
+"""Scale benchmark: out-of-core ingestion + sparse ItemKNN at the 10M-rating mark.
 
 Exercises the whole scale subsystem end to end on one synthetic workload:
 
@@ -9,28 +9,23 @@ Exercises the whole scale subsystem end to end on one synthetic workload:
    (:func:`repro.data.outofcore.ingest_csv`);
 3. **load + split** — open the store memmap-backed and apply the per-user
    ratio split;
-4. **fit** — exact ItemKNN (dense gram, the golden-pinned path) and the
-   sparse ItemKNN (``exact=False``, blocked gram scan) on the same train
-   split, plus optionally the JL sketch mode (``--sketch-projections``);
-5. **score** — ``recommend_block`` over a user sample on both models;
-   reports the sparse-vs-dense wall-clock ratio and the top-N recall
-   against the exact lists (recall of the sketch mode is reported as a
-   metric but never gated — see ``docs/scale.md`` for why flat similarity
-   spectra defeat sketched candidate search);
-6. **compile** — the sparse pipeline into a serveable artifact.
+4. **fit** — ItemKNN's blocked gram scan on the train split, through a
+   pipeline spec that reads the store;
+5. **score** — ``recommend_block`` over a user sample;
+6. **compile** — the pipeline into a serveable artifact.
 
 Peak RSS (``resource.getrusage``) is recorded throughout — the point of the
-out-of-core path is that the 10M-rating workload *fits on this container* —
-and three gates make the headline claims enforceable: ``--min-ann-speedup``
-(scoring, default 5x), ``--min-recall`` (ANN top-N vs exact, default 0.95)
-and ``--max-rss-mb`` (0 disables; the CI scale-smoke job sets a ceiling).
+out-of-core path is that the 10M-rating workload *fits on one host* — and
+``--max-rss-mb`` turns it into a gate (0 disables; the CI scale-smoke job
+sets a ceiling).  The scan's output is pinned to a dense-gram reference by
+the golden fixtures and ``tests/test_scale.py``, not here.
 
 Run directly::
 
     PYTHONPATH=src python benchmarks/bench_scale.py                  # full 10M
     PYTHONPATH=src python benchmarks/bench_scale.py --users 2000 \\
         --items 1500 --ratings 100000 --sample-users 256 \\
-        --chunk-size 40000 --min-ann-speedup 0 --min-recall 0        # CI smoke
+        --chunk-size 40000                                           # CI smoke
 """
 
 from __future__ import annotations
@@ -54,7 +49,6 @@ from repro.pipeline import (
     Pipeline,
     PipelineSpec,
 )
-from repro.recommenders.knn import ItemKNN
 from repro.serving import compile_artifact
 
 from bench_json import write_bench_json
@@ -76,23 +70,10 @@ def _time(fn):
     return time.perf_counter() - start, result
 
 
-def _recall_at_n(reference: np.ndarray, approximate: np.ndarray) -> float:
-    """Mean per-user overlap of the approximate top-N with the exact top-N."""
-    hits = 0
-    total = 0
-    for ref_row, approx_row in zip(reference, approximate):
-        ref_set = {item for item in ref_row.tolist() if item >= 0}
-        if not ref_set:
-            continue
-        hits += len(ref_set.intersection(approx_row.tolist()))
-        total += len(ref_set)
-    return hits / total if total else 1.0
-
-
-def run_benchmark(args) -> tuple[list[str], dict, dict, float]:
-    """Execute the benchmark; returns (lines, metrics, speedups, recall)."""
+def run_benchmark(args) -> tuple[list[str], dict]:
+    """Execute the benchmark; returns (report lines, metrics)."""
     lines = [
-        "scale benchmark (out-of-core ingest + ANN retrieval)",
+        "scale benchmark (out-of-core ingest + sparse ItemKNN)",
         f"users={args.users} items={args.items} ratings={args.ratings} "
         f"sample_users={args.sample_users} chunk_size={args.chunk_size} "
         f"k={K} n={args.n}",
@@ -146,94 +127,49 @@ def run_benchmark(args) -> tuple[list[str], dict, dict, float]:
         metrics["n_train_ratings"] = train.n_ratings
         metrics["rss_after_load_mb"] = _peak_rss_mb()
 
-        exact_fit_s, exact = _time(lambda: ItemKNN(K).fit(train))
-        lines.append(
-            f"exact fit: {exact_fit_s:.1f}s "
-            f"({train.n_ratings / exact_fit_s:,.0f} ratings/s)"
-        )
-        metrics["exact_fit_s"] = exact_fit_s
-        metrics["rss_after_exact_fit_mb"] = _peak_rss_mb()
-
         spec = PipelineSpec(
-            recommender=ComponentSpec(
-                "itemknn", params={"k": K, "exact": False}
-            ),
+            recommender=ComponentSpec("itemknn", params={"k": K}),
             dataset=DatasetSpec(key="scale", path=str(store)),
             evaluation=EvaluationSpec(n=args.n),
             seed=SEED,
         )
         pipeline = Pipeline(spec)
-        ann_fit_s, _ = _time(lambda: pipeline.fit(split))
-        ann = pipeline.recommender
+        fit_s, _ = _time(lambda: pipeline.fit(split))
         lines.append(
-            f"ann fit: {ann_fit_s:.1f}s "
-            f"({train.n_ratings / ann_fit_s:,.0f} ratings/s)"
+            f"fit: {fit_s:.1f}s ({train.n_ratings / fit_s:,.0f} ratings/s)"
         )
-        metrics["ann_fit_s"] = ann_fit_s
+        metrics["fit_s"] = fit_s
+        metrics["rss_after_fit_mb"] = _peak_rss_mb()
 
         candidates = train.users_with_ratings()
         sample = rng.choice(
             candidates, size=min(args.sample_users, candidates.size), replace=False
         )
         sample.sort()
-        exact_score_s, exact_top = _time(lambda: exact.recommend_block(sample, args.n))
-        ann_score_s, ann_top = _time(lambda: ann.recommend_block(sample, args.n))
-        recall = _recall_at_n(exact_top, ann_top)
-        speedup = exact_score_s / ann_score_s if ann_score_s > 0 else float("inf")
-        lines.append(
-            f"score {sample.size} users: exact {exact_score_s:.2f}s vs "
-            f"ann {ann_score_s:.2f}s ({speedup:.1f}x), recall@{args.n} {recall:.4f}"
+        score_s, _ = _time(
+            lambda: pipeline.recommender.recommend_block(sample, args.n)
         )
-        metrics["exact_score_s"] = exact_score_s
-        metrics["ann_score_s"] = ann_score_s
-        metrics["exact_score_users_per_s"] = sample.size / exact_score_s
-        metrics["ann_score_users_per_s"] = sample.size / ann_score_s
-        metrics["recall_at_n"] = recall
+        lines.append(
+            f"score {sample.size} users: {score_s:.2f}s "
+            f"({sample.size / score_s:,.0f} users/s)"
+        )
+        metrics["score_s"] = score_s
+        metrics["score_users_per_s"] = sample.size / score_s
         metrics["rss_after_score_mb"] = _peak_rss_mb()
-
-        if args.sketch_projections > 0:
-            sketch_fit_s, sketch = _time(
-                lambda: ItemKNN(
-                    K,
-                    exact=False,
-                    n_projections=args.sketch_projections,
-                    n_candidates=args.sketch_candidates,
-                ).fit(train)
-            )
-            sketch_score_s, sketch_top = _time(
-                lambda: sketch.recommend_block(sample, args.n)
-            )
-            sketch_recall = _recall_at_n(exact_top, sketch_top)
-            lines.append(
-                f"sketch (d={args.sketch_projections}, "
-                f"cand={args.sketch_candidates}): fit {sketch_fit_s:.1f}s, "
-                f"score {sketch_score_s:.2f}s, recall@{args.n} "
-                f"{sketch_recall:.4f} (reported, not gated)"
-            )
-            metrics["sketch_fit_s"] = sketch_fit_s
-            metrics["sketch_score_s"] = sketch_score_s
-            metrics["sketch_recall_at_n"] = sketch_recall
-            del sketch, sketch_top
-
-        # Free the dense exact state (three |I|² arrays) before the compile
-        # pass; the artifact is the ANN pipeline's product.
-        del exact, exact_top
 
         artifact = workdir / "artifact"
         compile_s, _ = _time(
             lambda: compile_artifact(pipeline, artifact, shard_size=SHARD_SIZE)
         )
         lines.append(
-            f"compile (ann pipeline): {compile_s:.1f}s "
-            f"({train.n_users / compile_s:,.0f} users/s)"
+            f"compile: {compile_s:.1f}s ({train.n_users / compile_s:,.0f} users/s)"
         )
         metrics["compile_s"] = compile_s
         metrics["compile_users_per_s"] = train.n_users / compile_s
 
     metrics["peak_rss_mb"] = _peak_rss_mb()
     lines.append(f"peak RSS: {metrics['peak_rss_mb']:,.0f} MB")
-    speedups = {"ann_score_vs_exact": speedup}
-    return lines, metrics, speedups, recall
+    return lines, metrics
 
 
 def main(argv=None) -> int:
@@ -244,7 +180,7 @@ def main(argv=None) -> int:
     parser.add_argument("--ratings", type=int, default=10_000_000)
     parser.add_argument(
         "--sample-users", type=int, default=2048,
-        help="users scored on both paths for the speedup/recall comparison",
+        help="users scored for the scoring-throughput measurement",
     )
     parser.add_argument(
         "--chunk-size", type=int, default=2_000_000,
@@ -254,32 +190,14 @@ def main(argv=None) -> int:
         "--max-user-ratings", type=int, default=1_000,
         help="per-user activity cap of the generated workload",
     )
-    parser.add_argument("--n", type=int, default=10, help="top-N size compared")
-    parser.add_argument(
-        "--sketch-projections", type=int, default=128,
-        help="JL dimensionality for the sketch-mode stage (0 skips it)",
-    )
-    parser.add_argument(
-        "--sketch-candidates", type=int, default=100,
-        help="candidates per item for the sketch-mode stage",
-    )
-    parser.add_argument(
-        "--min-ann-speedup", type=float, default=5.0,
-        help="fail unless ANN scoring beats exact by this factor "
-        "(0 disables the gate; default 5.0)",
-    )
-    parser.add_argument(
-        "--min-recall", type=float, default=0.95,
-        help="fail unless ANN top-N recall vs exact reaches this "
-        "(0 disables the gate; default 0.95)",
-    )
+    parser.add_argument("--n", type=int, default=10, help="top-N size scored")
     parser.add_argument(
         "--max-rss-mb", type=float, default=0.0,
         help="fail if process peak RSS exceeds this many MB (0 disables)",
     )
     args = parser.parse_args(argv)
 
-    lines, metrics, speedups, recall = run_benchmark(args)
+    lines, metrics = run_benchmark(args)
     report = "\n".join(lines)
     print(report)
     output = Path(__file__).resolve().parent / "output" / "bench_scale.txt"
@@ -298,32 +216,16 @@ def main(argv=None) -> int:
             "k": K,
             "n": args.n,
             "train_ratio": TRAIN_RATIO,
-            "sketch_projections": args.sketch_projections,
-            "sketch_candidates": args.sketch_candidates,
         },
         metrics=metrics,
-        speedups=speedups,
     )
-    failed = False
-    if args.min_ann_speedup > 0 and speedups["ann_score_vs_exact"] < args.min_ann_speedup:
-        print(
-            f"FAIL: ann scoring only {speedups['ann_score_vs_exact']:.2f}x faster "
-            f"than exact (required {args.min_ann_speedup:.2f}x)"
-        )
-        failed = True
-    if args.min_recall > 0 and recall < args.min_recall:
-        print(
-            f"FAIL: ann recall@{args.n} {recall:.4f} below required "
-            f"{args.min_recall:.4f}"
-        )
-        failed = True
     if args.max_rss_mb > 0 and metrics["peak_rss_mb"] > args.max_rss_mb:
         print(
             f"FAIL: peak RSS {metrics['peak_rss_mb']:,.0f} MB exceeds ceiling "
             f"{args.max_rss_mb:,.0f} MB"
         )
-        failed = True
-    return 1 if failed else 0
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -57,8 +57,6 @@ BENCHES: dict[str, tuple] = {
         [
             "--users", "800", "--items", "600", "--ratings", "20000",
             "--sample-users", "128", "--chunk-size", "8000",
-            "--sketch-projections", "64", "--sketch-candidates", "60",
-            "--min-ann-speedup", "0", "--min-recall", "0",
         ],
     ),
     "serving": (

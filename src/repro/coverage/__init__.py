@@ -22,7 +22,7 @@ from repro.coverage.random import RandomCoverage
 from repro.coverage.static import StaticCoverage
 from repro.coverage.dynamic import DynamicCoverage
 from repro.coverage.state import CoverageState, DeltaSnapshots
-from repro.coverage.registry import make_coverage, COVERAGE_REGISTRY
+from repro.coverage.registry import make_coverage
 
 __all__ = [
     "CoverageRecommender",
@@ -32,5 +32,4 @@ __all__ = [
     "CoverageState",
     "DeltaSnapshots",
     "make_coverage",
-    "COVERAGE_REGISTRY",
 ]

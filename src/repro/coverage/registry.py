@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from repro.coverage.base import CoverageRecommender
 from repro.coverage.dynamic import DynamicCoverage
 from repro.coverage.random import RandomCoverage
 from repro.coverage.static import StaticCoverage
-from repro.registry import create, legacy_view, register
+from repro.registry import create, register
 
 register("coverage", "rand", aliases=("random",))(RandomCoverage)
 register("coverage", "stat", aliases=("static",))(StaticCoverage)
@@ -22,7 +20,3 @@ def make_coverage(name: str, **kwargs: object) -> CoverageRecommender:
     ``seed`` kwarg is threaded to Rand and dropped for the seedless models.
     """
     return create("coverage", name, **kwargs)
-
-
-#: Name → factory view of the registered coverage recommenders.
-COVERAGE_REGISTRY: Mapping[str, object] = legacy_view("coverage")

@@ -109,16 +109,38 @@ def restore_component_state(
         if "::" in name:
             continue  # part of a sparse matrix restored above
         setattr(component, name, value)
+    # A component whose state layout changed converts older saves here.
+    upgrade = getattr(component, "_upgrade_restored_state", None)
+    if upgrade is not None:
+        upgrade()
 
 
 # --------------------------------------------------------------------------- #
 # Split persistence
 # --------------------------------------------------------------------------- #
-def _ids_array(ids: Any) -> np.ndarray:
-    array = np.asarray(list(ids))
+def _ids_arrays(ids: Any, key: str) -> dict[str, np.ndarray]:
+    """Raw ids as ``.npz`` arrays that :func:`_load_ids` inverts exactly.
+
+    numpy stores a mix of int and str ids as strings, so a mixed list also
+    records which entries were integers (``<key>_is_int``).
+    """
+    ids = list(ids)
+    array = np.asarray(ids)
     if array.dtype == object:
         array = array.astype(str)
-    return array
+    arrays = {key: array}
+    if array.dtype.kind == "U":
+        is_int = np.array([isinstance(raw, (int, np.integer)) for raw in ids], dtype=bool)
+        if is_int.any():
+            arrays[f"{key}_is_int"] = is_int
+    return arrays
+
+
+def _load_ids(payload: Any, key: str) -> list:
+    ids = payload[key].tolist()
+    if f"{key}_is_int" in payload.files:
+        ids = [int(raw) if is_int else raw for raw, is_int in zip(ids, payload[f"{key}_is_int"])]
+    return ids
 
 
 def _dataset_arrays(dataset: RatingDataset, prefix: str) -> dict[str, np.ndarray]:
@@ -138,8 +160,8 @@ def save_split_npz(split: TrainTestSplit, path: str | Path) -> Path:
         **_dataset_arrays(split.test, "test"),
         "n_users": np.int64(split.train.n_users),
         "n_items": np.int64(split.train.n_items),
-        "user_ids": _ids_array(split.train.user_ids),
-        "item_ids": _ids_array(split.train.item_ids),
+        **_ids_arrays(split.train.user_ids, "user_ids"),
+        **_ids_arrays(split.train.item_ids, "item_ids"),
         "train_name": np.str_(split.train.name),
         "test_name": np.str_(split.test.name),
     }
@@ -154,8 +176,8 @@ def load_split_npz(path: str | Path) -> TrainTestSplit:
         with np.load(path, allow_pickle=False) as payload:
             n_users = int(payload["n_users"])
             n_items = int(payload["n_items"])
-            user_ids = payload["user_ids"].tolist()
-            item_ids = payload["item_ids"].tolist()
+            user_ids = _load_ids(payload, "user_ids")
+            item_ids = _load_ids(payload, "item_ids")
 
             def build(prefix: str, name: str) -> RatingDataset:
                 """Rebuild one side of the split from its prefixed arrays."""

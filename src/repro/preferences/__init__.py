@@ -22,7 +22,7 @@ from repro.preferences.simple import (
     per_user_item_preference,
 )
 from repro.preferences.generalized import GeneralizedPreference, MinimaxTrace
-from repro.preferences.registry import make_preference_model, PREFERENCE_REGISTRY
+from repro.preferences.registry import make_preference_model
 
 __all__ = [
     "PreferenceModel",
@@ -36,5 +36,4 @@ __all__ = [
     "GeneralizedPreference",
     "MinimaxTrace",
     "make_preference_model",
-    "PREFERENCE_REGISTRY",
 ]

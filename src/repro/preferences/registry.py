@@ -7,8 +7,6 @@ uses in Figure 5 (``thetaA``, ``thetaN``, ``thetaT``, ``thetaG``, ``thetaR``,
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from repro.preferences.base import PreferenceModel
 from repro.preferences.generalized import GeneralizedPreference
 from repro.preferences.simple import (
@@ -18,7 +16,7 @@ from repro.preferences.simple import (
     RandomPreference,
     TfidfPreference,
 )
-from repro.registry import create, legacy_view, register
+from repro.registry import create, register
 
 register("preference", "thetaa", aliases=("activity",))(ActivityPreference)
 register("preference", "thetan", aliases=("long_tail_fraction",))(NormalizedLongTailPreference)
@@ -37,7 +35,3 @@ def make_preference_model(name: str, **kwargs: object) -> PreferenceModel:
     θR and dropped for the seedless estimators.
     """
     return create("preference", name, **kwargs)
-
-
-#: Name → factory view of the registered preference models.
-PREFERENCE_REGISTRY: Mapping[str, object] = legacy_view("preference")

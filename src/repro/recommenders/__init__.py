@@ -25,7 +25,7 @@ from repro.recommenders.puresvd import PureSVD
 from repro.recommenders.cofirank import CofiRank
 from repro.recommenders.knn import ItemKNN
 from repro.recommenders.user_knn import UserKNN
-from repro.recommenders.registry import make_recommender, RECOMMENDER_REGISTRY
+from repro.recommenders.registry import make_recommender
 
 __all__ = [
     "Recommender",
@@ -38,5 +38,4 @@ __all__ = [
     "ItemKNN",
     "UserKNN",
     "make_recommender",
-    "RECOMMENDER_REGISTRY",
 ]

@@ -18,8 +18,6 @@ entry.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from repro.recommenders.base import Recommender
 from repro.recommenders.cofirank import CofiRank
 from repro.recommenders.knn import ItemKNN
@@ -28,7 +26,7 @@ from repro.recommenders.puresvd import PureSVD
 from repro.recommenders.random import RandomRecommender
 from repro.recommenders.rsvd import RSVD
 from repro.recommenders.user_knn import UserKNN
-from repro.registry import ComponentEntry, create, legacy_view, register, register_resolver
+from repro.registry import ComponentEntry, create, register, register_resolver
 
 #: Hyper-parameters shared by the CofiRank family (Section V of the paper).
 _COFIR_DEFAULTS = {"reg": 10.0, "n_iterations": 3}
@@ -88,8 +86,3 @@ def make_recommender(name: str, **kwargs: object) -> Recommender:
     :mod:`repro.registry`.
     """
     return create("recommender", name, **kwargs)
-
-
-#: Name → factory view of the registered recommenders (kept for callers that
-#: iterate the available names; construction itself goes through ``create``).
-RECOMMENDER_REGISTRY: Mapping[str, object] = legacy_view("recommender")

@@ -245,24 +245,6 @@ def create(kind: str, name: str, **kwargs: Any) -> Any:
     return entry.cls(**params)
 
 
-def legacy_view(kind: str) -> Mapping[str, Callable[..., Any]]:
-    """Name → factory mapping over the statically registered names of a kind.
-
-    Kept for callers that iterate the available names (tests, benchmarks);
-    construction itself goes through :func:`create`.
-    """
-
-    def factory(name: str) -> Callable[..., Any]:
-        """A zero-config builder bound to one registered name."""
-        def build(**kwargs: Any) -> Any:
-            """Instantiate the bound component with ``kwargs`` overrides."""
-            return create(kind, name, **kwargs)
-
-        return build
-
-    return {name: factory(name) for name in available(kind)}
-
-
 # --------------------------------------------------------------------------- #
 # Parameter introspection
 # --------------------------------------------------------------------------- #

@@ -16,7 +16,7 @@ from repro.rerankers.base import Reranker
 from repro.rerankers.rbt import RankingBasedTechnique
 from repro.rerankers.resource_allocation import ResourceAllocation5D
 from repro.rerankers.pra import PersonalizedRankingAdaptation
-from repro.rerankers.registry import make_reranker, RERANKER_REGISTRY
+from repro.rerankers.registry import make_reranker
 
 __all__ = [
     "Reranker",
@@ -24,5 +24,4 @@ __all__ = [
     "ResourceAllocation5D",
     "PersonalizedRankingAdaptation",
     "make_reranker",
-    "RERANKER_REGISTRY",
 ]

@@ -7,9 +7,7 @@ The names follow the paper's Table IV labels.
 
 from __future__ import annotations
 
-from typing import Mapping
-
-from repro.registry import create, legacy_view, register
+from repro.registry import create, register
 from repro.rerankers.base import Reranker
 from repro.rerankers.pra import PersonalizedRankingAdaptation
 from repro.rerankers.rbt import RankingBasedTechnique
@@ -27,7 +25,3 @@ def make_reranker(name: str, **kwargs: object) -> Reranker:
     unknown hyper-parameters raise :class:`ConfigurationError`.
     """
     return create("reranker", name, **kwargs)
-
-
-#: Name → factory view of the registered re-rankers.
-RERANKER_REGISTRY: Mapping[str, object] = legacy_view("reranker")

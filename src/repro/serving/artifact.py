@@ -323,10 +323,8 @@ def compile_artifact(
         "mode": "ganc" if pipeline.model is not None else "recommender",
         "prefix_consistent": pipeline.model is None,
         "environment": serving_environment(),
-        # Scoring provenance (additive keys; absent in pre-scale manifests):
-        # whether the recommender used its exact path and at what precision,
+        # Scoring precision (an additive key; absent in pre-scale manifests),
         # so a served artifact's tolerance contract is auditable.
-        "exact": bool(getattr(pipeline.recommender, "exact", True)),
         "score_dtype": str(getattr(pipeline.recommender, "dtype", "float64")),
     }
     _atomic_write_json(output_dir / MANIFEST_FILE, manifest)

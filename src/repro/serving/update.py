@@ -348,7 +348,6 @@ def compile_artifact_update(
         "mode": "ganc" if pipeline.model is not None else "recommender",
         "prefix_consistent": pipeline.model is None,
         "environment": serving_environment(),
-        "exact": bool(getattr(pipeline.recommender, "exact", True)),
         "score_dtype": str(getattr(pipeline.recommender, "dtype", "float64")),
     }
     _atomic_write_json(artifact_dir / MANIFEST_FILE, new_manifest)

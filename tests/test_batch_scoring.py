@@ -22,10 +22,11 @@ from repro.ganc.framework import GANC, GANCConfig
 from repro.ganc.locally_greedy import LocallyGreedyOptimizer
 from repro.ganc.oslg import OSLGOptimizer
 from repro.recommenders.base import Recommender
-from repro.recommenders.registry import RECOMMENDER_REGISTRY, make_recommender
+from repro.recommenders.registry import make_recommender
+from repro.registry import available
 from repro.utils.topn import top_n_indices, top_n_matrix
 
-ALL_RECOMMENDERS = sorted(RECOMMENDER_REGISTRY)
+ALL_RECOMMENDERS = available("recommender")
 N = 5
 
 

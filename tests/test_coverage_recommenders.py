@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from repro.coverage import (
-    COVERAGE_REGISTRY,
     DynamicCoverage,
     RandomCoverage,
     StaticCoverage,
     make_coverage,
 )
 from repro.exceptions import ConfigurationError, NotFittedError
+from repro.registry import available
 
 
 def test_unfitted_coverage_raises():
@@ -134,7 +134,7 @@ def test_coverage_registry(name, expected_type):
 def test_coverage_registry_rejects_unknown():
     with pytest.raises(ConfigurationError):
         make_coverage("nope")
-    assert {"rand", "stat", "dyn"} <= set(COVERAGE_REGISTRY)
+    assert {"rand", "stat", "dyn"} <= set(available("coverage"))
 
 
 def test_registry_rejects_unknown_hyperparameters():

@@ -8,7 +8,9 @@ fast experiment configuration:
 * ``figure6_ml100k.json`` — the Figure 6 accuracy/coverage/novelty points,
 * ``ml100k_tiny_metrics.json`` / ``ml100k_tiny_top5.csv`` — the metric
   report and full top-5 CSV of the ``examples/specs/ml100k_tiny.json``
-  pipeline spec (the same spec the CI smoke jobs execute).
+  pipeline spec (the same spec the CI smoke jobs execute),
+* ``itemknn_ganc_tiny.json`` — default ``ItemKNN()`` score rows and the
+  GANC(ItemKNN, θG, Dyn) OSLG top-10 rows on a small split.
 
 The tests regenerate each output and byte-compare it against the committed
 fixture, so any change to scoring, tie-breaking, sampling, ranking or
@@ -153,14 +155,13 @@ def generate_oslg_tiny() -> bytes:
 
 
 def generate_sparse_knn_tiny() -> bytes:
-    """One fixed tiny sparse-KNN fit: the exact=False neighbour graph.
+    """One fixed tiny ItemKNN fit: the sparse neighbour graph.
 
-    Pins the blocked gram scan (``ItemKNN(exact=False)``) — similarity
-    values, CSR structure and the top-5 lists it serves — on a small
-    synthetic split.  The scan is contractually bit-identical to the exact
-    dense path (asserted in ``tests/test_scale.py``), so this fixture also
-    freezes the historical exact numbers in sparse form: drift in either
-    representation fails here.
+    Pins the blocked gram scan — similarity values, CSR structure and the
+    top-5 lists it serves — on a small synthetic split.  The scan is
+    bit-identical to a dense-gram reference (asserted in
+    ``tests/test_scale.py``), so this fixture also freezes the historical
+    dense numbers in sparse form.
     """
     from repro.data.split import RatioSplitter
     from repro.data.synthetic import make_dataset
@@ -169,7 +170,7 @@ def generate_sparse_knn_tiny() -> bytes:
     train = RatioSplitter(0.8, seed=SEED).split(
         make_dataset("ml100k", scale=0.1, seed=SEED)
     ).train
-    model = ItemKNN(10, exact=False).fit(train)
+    model = ItemKNN(10).fit(train)
     graph = model.similarity_
     users = train.users_with_ratings()[:20]
     return _as_json_bytes(
@@ -184,6 +185,38 @@ def generate_sparse_knn_tiny() -> bytes:
     )
 
 
+def generate_itemknn_ganc_tiny() -> bytes:
+    """``ItemKNN()`` defaults: raw score rows and GANC(ItemKNN, θG, Dyn) top-10.
+
+    Pins :meth:`ItemKNN.predict_matrix` for 20 users and the OSLG top-10
+    rows of every user with the default ItemKNN as GANC's accuracy
+    recommender, on a small fixed split.  The fixture was generated by the
+    dense-gram implementation that preceded the blocked scan, so it also
+    proves the scan reproduces those numbers byte for byte.
+    """
+    from repro.pipeline import ComponentSpec, DatasetSpec, EvaluationSpec, GANCSpec, PipelineSpec
+
+    spec = PipelineSpec(
+        recommender=ComponentSpec("itemknn"),
+        preference=ComponentSpec("thetag"),
+        coverage=ComponentSpec("dyn"),
+        ganc=GANCSpec(sample_size=SAMPLE_SIZE, optimizer="oslg"),
+        dataset=DatasetSpec(key="ml100k", scale=0.1),
+        evaluation=EvaluationSpec(n=10),
+        seed=SEED,
+    )
+    pipeline = Pipeline(spec).fit()
+    users = pipeline.split.train.users_with_ratings()[:20]
+    return _as_json_bytes(
+        {
+            "n_items": int(pipeline.split.train.n_items),
+            "users": users.tolist(),
+            "scores": pipeline.recommender.predict_matrix(users).tolist(),
+            "ganc_top10": pipeline.recommend_all(10).items.tolist(),
+        }
+    )
+
+
 FIXTURES = {
     "table4_ml100k.json": generate_table4,
     "figure6_ml100k.json": generate_figure6,
@@ -191,6 +224,7 @@ FIXTURES = {
     "ml100k_tiny_top5.csv": generate_tiny_top5,
     "oslg_tiny.json": generate_oslg_tiny,
     "sparse_knn_tiny.json": generate_sparse_knn_tiny,
+    "itemknn_ganc_tiny.json": generate_itemknn_ganc_tiny,
 }
 
 ENVIRONMENT_FILE = "environment.json"
@@ -259,6 +293,10 @@ def test_oslg_tiny_golden_master():
 
 def test_sparse_knn_tiny_golden_master():
     _check("sparse_knn_tiny.json")
+
+
+def test_itemknn_ganc_tiny_golden_master():
+    _check("itemknn_ganc_tiny.json")
 
 
 def regenerate() -> None:

@@ -61,6 +61,12 @@ DELTAS = st.lists(
 )
 
 
+def _assert_same_csr(left, right) -> None:
+    assert left.dtype == right.dtype and left.shape == right.shape
+    for part in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(left, part), getattr(right, part))
+
+
 def _delta_arrays(delta):
     users = np.asarray([u for u, _, _ in delta], dtype=np.int64)
     items = np.asarray([i for _, i, _ in delta], dtype=np.int64)
@@ -211,16 +217,16 @@ class TestDeltaRefit:
         np.testing.assert_array_equal(state.scores, fresh.scores)
 
     @FAST
-    @given(delta=DELTAS)
-    def test_itemknn_delta_equals_scratch_bitwise(self, delta):
+    @given(delta=DELTAS, dtype=st.sampled_from(["float64", "float32"]))
+    def test_itemknn_delta_equals_scratch_bitwise(self, delta, dtype):
         train = _tiny_dataset()
         users, items, ratings = _delta_arrays(delta)
         grown = train.extend(users, items, ratings)
 
-        incremental = ItemKNN(k=6).fit(train).delta_refit(grown)
-        scratch = ItemKNN(k=6).fit(grown)
-        np.testing.assert_array_equal(incremental._gram, scratch._gram)
-        np.testing.assert_array_equal(incremental.similarity_, scratch.similarity_)
+        incremental = ItemKNN(k=6, dtype=dtype).fit(train).delta_refit(grown)
+        scratch = ItemKNN(k=6, dtype=dtype).fit(grown)
+        _assert_same_csr(incremental.similarity_, scratch.similarity_)
+        _assert_same_csr(incremental._abs_similarity, scratch._abs_similarity)
         np.testing.assert_array_equal(
             incremental.recommend_all(5).items, scratch.recommend_all(5).items
         )
@@ -261,12 +267,6 @@ class TestDeltaRefit:
         with pytest.raises(ConfigurationError, match="extension"):
             model.delta_refit(shrunk)
 
-    def test_itemknn_without_cached_gram_refuses(self, train):
-        model = ItemKNN(k=6).fit(train)
-        model._gram = None  # a pipeline saved before delta support existed
-        with pytest.raises(ConfigurationError, match="gram"):
-            model.delta_refit(train.extend([0], [0], [1.0]))
-
     def test_itemknn_gram_survives_pipeline_persistence(self, tmp_path, train):
         split = RatioSplitter(0.5, seed=11).split(train)
         spec = PipelineSpec(
@@ -276,13 +276,10 @@ class TestDeltaRefit:
         )
         Pipeline(spec).fit(split).save(tmp_path / "pipe")
         loaded = Pipeline.load(tmp_path / "pipe")
-        assert loaded.recommender._gram is not None
         grown = split.train.extend([0, 1], [2, 3], [1.0, 1.0])
         loaded.recommender.delta_refit(grown)
         scratch = ItemKNN(k=6).fit(grown)
-        np.testing.assert_array_equal(
-            loaded.recommender.similarity_, scratch.similarity_
-        )
+        _assert_same_csr(loaded.recommender.similarity_, scratch.similarity_)
 
 
 # --------------------------------------------------------------------------- #

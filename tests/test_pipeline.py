@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.coverage.dynamic import DynamicCoverage
+from repro.data.incremental import extend_split_interactions
 from repro.evaluation.evaluator import Evaluator
 from repro.exceptions import ConfigurationError, DataFormatError, NotFittedError
 from repro.ganc.framework import GANC, GANCConfig
@@ -17,6 +18,7 @@ from repro.pipeline import (
     PipelineSpec,
     ganc_spec,
 )
+from repro.pipeline.persistence import load_split_npz, save_split_npz
 from repro.preferences.generalized import GeneralizedPreference
 from repro.recommenders.puresvd import PureSVD
 from repro.recommenders.registry import make_recommender
@@ -174,6 +176,25 @@ def test_bare_pipeline_save_load(tmp_path, small_split):
     pipeline.save(tmp_path / "bare")
     reloaded = Pipeline.load(tmp_path / "bare")
     assert np.array_equal(reloaded.recommend_all().items, expected.items)
+
+
+def test_split_round_trips_mixed_int_and_str_ids(tmp_path, small_split):
+    """Int ids stay ints beside str ids, so the next delta still resolves them."""
+    users, items = small_split.train.user_ids, small_split.train.item_ids
+    grown = extend_split_interactions(
+        small_split, [(users[0], items[1], 1.0), ("new0_0", "fresh-item", 2.0)]
+    ).split
+    assert grown.train.user_ids[-1] == "new0_0"
+    loaded = load_split_npz(save_split_npz(grown, tmp_path / "split.npz"))
+    for attribute in ("user_ids", "item_ids"):
+        saved = getattr(grown.train, attribute)
+        restored = getattr(loaded.train, attribute)
+        assert restored == saved
+        assert [type(raw) for raw in restored] == [type(raw) for raw in saved]
+
+    again = extend_split_interactions(loaded, [(users[2], items[3], 1.0)])
+    assert again.split.train.n_users == grown.train.n_users
+    assert again.changed_users.tolist() == [2]
 
 
 def test_load_rejects_mismatched_recommender_class(tmp_path, small_split):

@@ -271,9 +271,7 @@ def test_chunked_ingestion_bit_identical_to_in_memory(seed, n_rows, chunk_size, 
     k=st.integers(1, 6),
 )
 def test_scan_mode_item_knn_matches_exact_on_random_data(seed, n_users, n_items, n_rows, k):
-    """The blocked gram scan is the exact path in a sparse container."""
-    from scipy import sparse
-
+    """The blocked gram scan keeps and scores exactly what a dense gram would."""
     from repro.recommenders.knn import ItemKNN
 
     rng = np.random.default_rng(seed)
@@ -284,14 +282,26 @@ def test_scan_mode_item_knn_matches_exact_on_random_data(seed, n_users, n_items,
         n_users=n_users,
         n_items=n_items,
     )
-    exact = ItemKNN(k).fit(dataset)
-    scan = ItemKNN(k, exact=False).fit(dataset)
-    assert sparse.issparse(scan.similarity_)
-    np.testing.assert_array_equal(scan.similarity_.toarray(), exact.similarity_)
-    users = dataset.users_with_ratings()
-    np.testing.assert_array_equal(
-        exact.recommend_block(users, 5), scan.recommend_block(users, 5)
-    )
+    # Dense oracle: full gram, shrunk cosine, per-row top-k with ties kept.
+    matrix = dataset.to_csc().astype(np.float64)
+    gram = (matrix.T @ matrix).toarray()
+    norms = np.sqrt(np.diag(gram))
+    denom = np.outer(norms, norms) + 10.0
+    similarity = gram / denom
+    np.fill_diagonal(similarity, 0.0)
+    if k < n_items - 1:
+        for row in similarity:
+            if np.count_nonzero(row) > k:
+                row[row < np.partition(row, -k)[-k]] = 0.0
+    ratings = dataset.to_csr()
+    indicator = ratings.copy()
+    indicator.data = np.ones_like(indicator.data)
+    weights = indicator @ np.abs(similarity).T
+    weights[weights == 0.0] = 1.0
+
+    scan = ItemKNN(k).fit(dataset)
+    np.testing.assert_array_equal(scan.similarity_.toarray(), similarity)
+    np.testing.assert_array_equal(scan.predict_matrix(), (ratings @ similarity.T) / weights)
 
 
 @SLOWER

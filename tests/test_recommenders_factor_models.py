@@ -119,7 +119,7 @@ def test_itemknn_validation():
 
 def test_itemknn_similarity_diagonal_is_zero(small_split):
     model = ItemKNN(k=20).fit(small_split.train)
-    assert np.allclose(np.diag(model.similarity_), 0.0)
+    assert np.allclose(model.similarity_.diagonal(), 0.0)
 
 
 def test_itemknn_scores_follow_user_history(tiny_dataset):

@@ -12,9 +12,9 @@ from repro.recommenders import (
     PureSVD,
     RandomRecommender,
     RSVD,
-    RECOMMENDER_REGISTRY,
     make_recommender,
 )
+from repro.registry import available
 
 
 @pytest.mark.parametrize(
@@ -58,7 +58,7 @@ def test_registry_rejects_unknown_names():
 
 
 def test_registry_exposes_all_names():
-    assert {"pop", "rand", "rsvd", "psvd10", "psvd100", "cofir100"} <= set(RECOMMENDER_REGISTRY)
+    assert {"pop", "rand", "rsvd", "psvd10", "psvd100", "cofir100"} <= set(available("recommender"))
 
 
 def test_unknown_hyperparameters_are_rejected():

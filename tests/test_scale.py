@@ -8,18 +8,15 @@ This file is that pin:
   in-memory :meth:`RatingDataset.from_interactions` dataset *bit-identically*
   — id maps, interaction order, split membership, batch gathers — at every
   shard size, including the ``append`` path vs a single ingest,
-* the ``exact=False`` blocked gram scan of :class:`ItemKNN` (and the sparse
-  container of :class:`UserKNN`) must store the same similarity values as the
-  dense exact path and emit identical recommendations,
-* the opt-in JL sketch (``n_projections``) is approximate by design, so it is
-  gated on recall@N >= 0.95 against the exact path on a seeded clustered
-  dataset, plus determinism by seed,
+* the blocked gram scan of :class:`ItemKNN` (and the sparse container of
+  :class:`UserKNN`) must store the same similarity values as a dense-gram
+  reference and score identically,
 * float32 scoring is gated on a documented tolerance (``FLOAT32_ATOL``) and
   on rank stability: any item that enters/leaves a top-N list under float32
   must be a float64 near-tie within that tolerance,
-* ``exact=True`` / ``dtype="float64"`` stay the defaults everywhere a spec
-  or artifact can express the toggle, so the goldens keep guarding the
-  historical numbers.
+* ``dtype="float64"`` stays the default everywhere a spec can express it,
+  and specs naming the former ``exact`` mode still build under their
+  historical ``spec_sha256``.
 """
 
 from __future__ import annotations
@@ -91,8 +88,7 @@ def _clustered_dataset(
 
     Within-cluster item pairs share many co-raters (high similarity) while
     cross-cluster pairs share none, so the true neighbour lists are sharply
-    separated — the regime the JL sketch is designed for, and a fixture where
-    its recall gate is meaningful rather than vacuous.
+    separated.
     """
     rng = np.random.default_rng(seed)
     users: list[int] = []
@@ -134,16 +130,30 @@ def _assert_same_dataset(actual: RatingDataset, expected: RatingDataset) -> None
     assert np.array_equal(actual.ratings, expected.ratings)
 
 
-def _recall(reference: np.ndarray, candidate: np.ndarray) -> float:
-    hits = 0
-    total = 0
-    for ref_row, cand_row in zip(reference, candidate):
-        ref = {int(item) for item in ref_row if item >= 0}
-        if not ref:
-            continue
-        hits += len(ref & {int(item) for item in cand_row if item >= 0})
-        total += len(ref)
-    return hits / total
+def _dense_knn(train: RatingDataset, k: int, shrinkage: float = 10.0) -> np.ndarray:
+    """Dense reference graph: full gram, shrunk cosine, per-row top-k (ties kept)."""
+    matrix = train.to_csc().astype(np.float64)
+    gram = (matrix.T @ matrix).toarray()
+    norms = np.sqrt(np.diag(gram))
+    denom = np.outer(norms, norms) + shrinkage
+    denom[denom == 0.0] = 1.0
+    similarity = gram / denom
+    np.fill_diagonal(similarity, 0.0)
+    if k < train.n_items - 1:
+        for row in similarity:
+            if np.count_nonzero(row) > k:
+                row[row < np.partition(row, -k)[-k]] = 0.0
+    return similarity
+
+
+def _dense_knn_scores(train: RatingDataset, similarity: np.ndarray) -> np.ndarray:
+    """Reference score rows: rating-weighted over indicator-weighted similarity."""
+    ratings = train.to_csr()
+    indicator = ratings.copy()
+    indicator.data = np.ones_like(indicator.data)
+    weights = indicator @ np.abs(similarity).T
+    weights[weights == 0.0] = 1.0
+    return (ratings @ similarity.T) / weights
 
 
 # --------------------------------------------------------------------------- #
@@ -346,28 +356,42 @@ def test_read_delta_csv_streams_through_the_same_validator(tmp_path):
 
 
 # --------------------------------------------------------------------------- #
-# Sparse scoring: the scan path is the exact path in a bounded container
+# The gram scan stores and scores exactly what the dense gram would
 # --------------------------------------------------------------------------- #
 def test_scan_similarity_bit_identical_to_exact(clustered):
-    exact = ItemKNN(10).fit(clustered)
-    scan = ItemKNN(10, exact=False).fit(clustered)
+    scan = ItemKNN(10).fit(clustered)
     assert sparse.issparse(scan.similarity_)
-    assert isinstance(exact.similarity_, np.ndarray)
-    assert np.array_equal(scan.similarity_.toarray(), exact.similarity_)
+    assert np.array_equal(scan.similarity_.toarray(), _dense_knn(clustered, 10))
 
 
 def test_scan_recommendations_identical_to_exact(clustered):
     train = RatioSplitter(0.8, seed=0).split(clustered).train
-    exact = ItemKNN(10).fit(train)
-    scan = ItemKNN(10, exact=False).fit(train)
-    users = train.users_with_ratings()
-    assert np.array_equal(exact.recommend_block(users, 10), scan.recommend_block(users, 10))
-    probe = users[: 5]
+    scan = ItemKNN(10).fit(train)
+    dense = _dense_knn(train, 10)
+    assert np.array_equal(scan.predict_matrix(), _dense_knn_scores(train, dense))
     items = np.arange(train.n_items)
-    for user in probe:
+    for user in train.users_with_ratings()[:5]:
+        rated_items, rated_values = train.user_ratings(int(user))
+        sims = dense[np.ix_(items, rated_items)]
+        weights = np.abs(sims).sum(axis=1)
+        weights[weights == 0.0] = 1.0
         assert np.array_equal(
-            exact.predict_scores(int(user), items), scan.predict_scores(int(user), items)
+            scan.predict_scores(int(user), items), (sims @ rated_values) / weights
         )
+
+
+def test_one_item_dataset_scores_zero():
+    dataset = RatingDataset(
+        np.array([0, 1, 2]), np.zeros(3, dtype=np.int64), np.array([5.0, 3.0, 1.0]),
+        n_users=4, n_items=1,
+    )
+    model = ItemKNN().fit(dataset)
+    assert model.similarity_.nnz == 0
+    assert np.array_equal(model.predict_matrix(), np.zeros((4, 1)))
+    assert np.array_equal(model.predict_scores(0, np.arange(1)), np.zeros(1))
+    assert model.recommend_block(np.arange(4), 3).tolist() == [
+        [-1, -1, -1], [-1, -1, -1], [-1, -1, -1], [0, -1, -1]
+    ]
 
 
 def test_user_knn_sparse_container_bit_identical(clustered):
@@ -382,47 +406,36 @@ def test_user_knn_sparse_container_bit_identical(clustered):
     )
 
 
-# --------------------------------------------------------------------------- #
-# The JL sketch: recall-gated, deterministic, explicitly not delta-refittable
-# --------------------------------------------------------------------------- #
-def test_sketch_recall_gate_on_clustered_data(clustered):
-    """ISSUE gate: ANN recall@10 >= 0.95 vs the exact path on seeded data."""
-    train = RatioSplitter(0.8, seed=0).split(clustered).train
-    exact = ItemKNN(10).fit(train)
-    sketch = ItemKNN(10, exact=False, n_projections=64, n_candidates=60).fit(train)
-    users = train.users_with_ratings()
-    recall = _recall(exact.recommend_block(users, 10), sketch.recommend_block(users, 10))
-    assert recall >= 0.95, f"sketch recall@10 {recall:.3f} below the 0.95 gate"
-
-
-def test_sketch_is_deterministic_by_seed(clustered):
-    first = ItemKNN(5, exact=False, n_projections=32, n_candidates=40, seed=11).fit(clustered)
-    second = ItemKNN(5, exact=False, n_projections=32, n_candidates=40, seed=11).fit(clustered)
-    assert np.array_equal(first.similarity_.data, second.similarity_.data)
-    assert np.array_equal(first.similarity_.indices, second.similarity_.indices)
-    assert np.array_equal(first.similarity_.indptr, second.similarity_.indptr)
-
-
 def test_sketch_parameter_validation():
-    with pytest.raises(ConfigurationError, match="n_projections"):
-        ItemKNN(5, exact=False, n_projections=0)
-    with pytest.raises(ConfigurationError, match="n_candidates"):
-        ItemKNN(5, exact=False, n_projections=16, n_candidates=0)
+    """The removed sketch options fail naming themselves; dtype is checked."""
+    for name, value in (("n_projections", 16), ("n_candidates", 60)):
+        with pytest.raises(ConfigurationError, match=name):
+            create("recommender", "itemknn", **{name: value})
+        spec = PipelineSpec(
+            recommender=ComponentSpec("itemknn", params={"k": 5, name: value}),
+            dataset=DatasetSpec(key="ml100k", scale=0.1),
+            evaluation=EvaluationSpec(n=5),
+            seed=0,
+        )
+        with pytest.raises(ConfigurationError, match=name):
+            Pipeline(spec).fit()
     with pytest.raises(ConfigurationError, match="dtype"):
         ItemKNN(5, dtype="float16")
 
 
-def test_only_exact_float64_supports_delta_refit(clustered):
-    assert ItemKNN(5).supports_delta_refit
-    for model in (
-        ItemKNN(5, exact=False),
-        ItemKNN(5, exact=False, n_projections=16),
-        ItemKNN(5, dtype="float32"),
-    ):
-        assert not model.supports_delta_refit
-        model.fit(clustered)
-        with pytest.raises(ConfigurationError, match="delta refits require"):
-            model.delta_refit(clustered)
+def test_every_itemknn_supports_delta_refit(clustered):
+    base = RatioSplitter(0.8, seed=0).split(clustered).train
+    grown = base.extend([0, 5, 7], [3, 3, 40], [1.0, 2.0, 5.0])
+    for params in ({}, {"exact": False}, {"dtype": "float32"}):
+        model = ItemKNN(5, **params)
+        assert model.supports_delta_refit
+        model.fit(base).delta_refit(grown)
+        assert model.delta_changed_state
+        scratch = ItemKNN(5, **params).fit(grown)
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(
+                getattr(model.similarity_, part), getattr(scratch.similarity_, part)
+            )
 
 
 # --------------------------------------------------------------------------- #
@@ -468,16 +481,44 @@ def test_float32_top_n_is_rank_stable_under_tolerance(clustered):
 
 
 # --------------------------------------------------------------------------- #
-# exact=True stays the default everywhere the toggle is expressible
+# Defaults, and specs written while ``exact`` selected a dense-gram mode
 # --------------------------------------------------------------------------- #
+#: ``spec_sha256`` of ``_exact_spec(True)`` / ``_exact_spec(False)``, as
+#: computed when ``exact`` still switched between two neighbour searches.
+EXACT_SPEC_SHA256 = {
+    True: "433d6b32726f1f94a6977433003c79bb1f3c5b6f5695528965c469206ecc01d6",
+    False: "f4b4bc133863bdf001bd9baa06676d3171adafe211948dee2a3587ec6bdf28b6",
+}
+
+
+def _exact_spec(exact: bool) -> PipelineSpec:
+    return PipelineSpec(
+        recommender=ComponentSpec("itemknn", params={"k": 20, "exact": exact}),
+        evaluation=EvaluationSpec(n=5),
+        seed=0,
+    )
+
+
 def test_exact_default_everywhere():
     model = ItemKNN()
-    assert model.exact is True
-    assert model.dtype == "float64"
-    assert model.n_projections is None
+    assert model.get_params() == {
+        "dtype": "float64", "exact": True, "k": 50, "shrinkage": 10.0
+    }
+    assert create("recommender", "itemknn").get_params() == model.get_params()
 
-    built = create("recommender", "itemknn")
-    assert built.exact is True and built.dtype == "float64"
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_specs_naming_exact_build_under_their_historical_hash(exact, clustered):
+    from repro.serving.artifact import spec_hash
+
+    spec = PipelineSpec.from_json(_exact_spec(exact).to_json())
+    pipeline = Pipeline(spec)
+    assert spec_hash(pipeline) == EXACT_SPEC_SHA256[exact]
+    split = RatioSplitter(0.8, seed=0).split(clustered)
+    fitted = pipeline.fit(split).recommender
+    reference = ItemKNN(20).fit(split.train)
+    assert fitted.exact is exact
+    assert np.array_equal(fitted.predict_matrix(), reference.predict_matrix())
 
 
 def test_spec_round_trip_preserves_the_toggle(tmp_path):
@@ -554,20 +595,5 @@ def test_pipeline_fits_and_compiles_from_an_ingest_store(tmp_path):
     artifact = tmp_path / "artifact"
     compile_artifact(pipeline, artifact)
     manifest = json.loads((artifact / "manifest.json").read_text(encoding="utf-8"))
-    assert manifest["exact"] is False
-    assert manifest["score_dtype"] == "float64"
-
-    # The exact default is what lands in manifests when the spec is silent.
-    default_spec = PipelineSpec(
-        recommender=ComponentSpec("itemknn", params={"k": 10}),
-        dataset=DatasetSpec(key="scale-test", path=str(store)),
-        evaluation=EvaluationSpec(n=5),
-        seed=0,
-    )
-    default_artifact = tmp_path / "artifact_default"
-    compile_artifact(Pipeline(default_spec).fit(), default_artifact)
-    manifest = json.loads(
-        (default_artifact / "manifest.json").read_text(encoding="utf-8")
-    )
-    assert manifest["exact"] is True
+    assert "exact" not in manifest
     assert manifest["score_dtype"] == "float64"
