@@ -1,8 +1,8 @@
 """Compile → serve → query round trip against a live HTTP server.
 
-Loads a saved pipeline, compiles a top-N artifact, stands the serving HTTP
-server up on an ephemeral port, queries *every* user over HTTP, and writes
-the answers as the same ``user,rank,item`` CSV ``repro run
+Loads a saved pipeline, compiles a top-N artifact, stands the ``repro
+serve`` HTTP service up on an ephemeral port, queries *every* user over
+HTTP, and writes the answers as the same ``user,rank,item`` CSV ``repro run
 --save-recommendations`` produces — so the two files can be byte-compared.
 CI uses exactly that comparison as its serving smoke test::
 
@@ -23,7 +23,7 @@ import urllib.request
 from pathlib import Path
 
 from repro.data.io import save_recommendations_csv
-from repro.serving import build_server, compile_artifact, start_in_thread
+from repro.serving import build_async_service, compile_artifact, start_async_in_thread
 
 
 def main(argv=None) -> int:
@@ -47,10 +47,10 @@ def main(argv=None) -> int:
             compile_artifact(args.pipeline, artifact_dir)
             print(f"compiled artifact to {artifact_dir}")
 
-        server = build_server(artifact_dir, pipeline=args.pipeline, port=0)
-        thread = start_in_thread(server)
-        host, port = server.server_address[:2]
-        base = f"http://{host}:{port}"
+        handle = start_async_in_thread(
+            build_async_service(artifact_dir, pipeline=args.pipeline)
+        )
+        base = handle.base_url
         print(f"serving on {base}")
 
         try:
@@ -66,9 +66,7 @@ def main(argv=None) -> int:
             path = save_recommendations_csv(recommendations, args.output)
             print(f"queried {len(recommendations)} users over HTTP -> {path}")
         finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
+            handle.stop()
     return 0
 
 

@@ -544,23 +544,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Serve a compiled artifact over HTTP (with optional live fallback)."""
-    if not args.async_tier:
-        for flag, value in (
-            ("--workers", args.workers),
-            ("--coalesce-max", args.coalesce_max),
-            ("--coalesce-window-us", args.coalesce_window_us),
-        ):
-            if value is not None:
-                raise ConfigurationError(f"{flag} requires --async")
-        from repro.serving import serve
-
-        return serve(
-            args.artifact,
-            pipeline=args.pipeline,
-            host=args.host,
-            port=args.port,
-            fallback_cache_size=args.fallback_cache_size,
-        )
     from repro.serving import serve_async
 
     return serve_async(
@@ -568,7 +551,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         pipeline=args.pipeline,
         host=args.host,
         port=args.port,
-        workers=1 if args.workers is None else args.workers,
+        workers=args.workers,
         fallback_cache_size=args.fallback_cache_size,
         coalesce_max=args.coalesce_max,
         coalesce_window_us=args.coalesce_window_us,
@@ -873,8 +856,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve_cmd = subparsers.add_parser(
         "serve",
-        help="serve a compiled artifact over HTTP (stdlib http.server, "
-        "or the asyncio coalescing tier with --async)",
+        help="serve a compiled artifact over HTTP (asyncio, keep-alive, "
+        "request coalescing into batched store lookups)",
     )
     serve_cmd.add_argument(
         "--artifact", type=str, required=True,
@@ -895,24 +878,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_cmd.add_argument(
         "--async", dest="async_tier", action="store_true",
-        help="serve with the high-concurrency asyncio tier: keep-alive, "
-        "request coalescing into batched store lookups, POST /recommend/batch",
+        help="accepted for compatibility; has no effect (the asyncio "
+        "service is the only one)",
     )
     serve_cmd.add_argument(
-        "--workers", type=_positive_int("--workers"), default=None,
+        "--workers", type=_positive_int("--workers"), default=1,
         help="pre-forked worker processes sharing the listening socket, one "
-        "mmap store handle each (requires --async; default 1)",
+        "mmap store handle each (default 1)",
     )
     serve_cmd.add_argument(
         "--coalesce-max", type=_positive_int("--coalesce-max"), default=None,
-        help="flush a micro-batch at this many queued lookups "
-        "(requires --async; default 64)",
+        help="flush a micro-batch at this many queued lookups (default 64)",
     )
     serve_cmd.add_argument(
         "--coalesce-window-us", type=_non_negative_int("--coalesce-window-us"), default=None,
         help="max microseconds a queued lookup waits before its batch is "
-        "flushed; 0 flushes on the next event-loop tick "
-        "(requires --async; default 500)",
+        "flushed; 0 flushes on the next event-loop tick (default 500)",
     )
     serve_cmd.set_defaults(handler=_cmd_serve)
 

@@ -29,7 +29,6 @@ plus the id maps; the peak cost of loading is the id maps alone.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -41,6 +40,9 @@ import numpy as np
 from repro.data.dataset import RatingDataset
 from repro.data.incremental import iter_rating_rows
 from repro.exceptions import ConfigurationError, DataError, DataFormatError
+from repro.utils.atomic import atomic_save as _atomic_save
+from repro.utils.atomic import atomic_write_json as _atomic_write_json
+from repro.utils.atomic import tmp_path as _tmp_path
 
 INGEST_FORMAT = "repro-ingest-v1"
 """Format tag written to (and required from) every ingest-store manifest."""
@@ -57,29 +59,6 @@ _MANIFEST_KEYS = (
 
 _COLUMNS = ("users", "items", "ratings")
 _DTYPES = {"users": np.int64, "items": np.int64, "ratings": np.float64}
-
-_TMP_COUNTER = itertools.count()
-
-
-def _tmp_path(path: Path) -> Path:
-    """A unique sibling temp path (same filesystem, so ``os.replace`` is atomic)."""
-    return path.with_name(f".{path.name}.{os.getpid()}.{next(_TMP_COUNTER)}.tmp")
-
-
-def _atomic_save(path: Path, array: np.ndarray) -> None:
-    """Write ``array`` to ``path`` atomically (readers never see partial files)."""
-    tmp = _tmp_path(path)
-    with tmp.open("wb") as handle:
-        np.save(handle, array)
-    os.replace(tmp, path)
-
-
-def _atomic_write_json(path: Path, payload: object) -> None:
-    """Write JSON atomically; the manifest is always the last file committed."""
-    tmp = _tmp_path(path)
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
-
 
 def _shard_name(column: str, index: int) -> str:
     """Relative shard path for chunk ``index`` of ``column``."""

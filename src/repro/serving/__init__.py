@@ -22,21 +22,23 @@ package is the online half:
     ``top_n(users, n)`` with O(1) row reads, falling back to a live
     :class:`~repro.pipeline.Pipeline` (LRU-cached ``recommend_all`` tables)
     for users or ``n`` the artifact does not cover.
-:mod:`repro.serving.service`
-    A stdlib ``http.server`` service (``repro serve``) exposing
-    ``GET /recommend``, ``GET /healthz`` and ``GET /manifest``, with warm
-    reload on ``SIGHUP``.
 :mod:`repro.serving.async_service`
-    The high-concurrency tier (``repro serve --async``): an asyncio
-    keep-alive server that coalesces in-flight ``/recommend`` requests
-    into batched store lookups, adds ``POST /recommend/batch``, and
-    pre-forks ``--workers K`` processes sharing one listening socket with
-    one mmap store handle each.
+    The HTTP service behind ``repro serve``: an asyncio keep-alive server
+    exposing ``GET /recommend``, ``POST /recommend/batch``,
+    ``GET /healthz``, ``GET /manifest`` and ``GET /metrics``.  It
+    coalesces in-flight ``/recommend`` requests into batched store
+    lookups, pre-forks ``--workers K`` processes sharing one listening
+    socket with one mmap store handle each, and warm-reloads on
+    ``SIGHUP``.
+:mod:`repro.serving.service`
+    The response payload builders and their canonical JSON encoding.
 
-Every lookup — artifact row or fallback, either tier — returns exactly the
-bytes ``Pipeline.recommend_all`` produces for the same persisted pipeline
-(asserted in ``tests/test_serving.py`` / ``tests/test_serving_async.py``
-for every registered recommender family).
+Every lookup — artifact row or fallback — returns exactly the bytes
+``Pipeline.recommend_all`` produces for the same persisted pipeline, and
+the service answers with exactly the bytes the payload builders produce
+for that lookup (asserted in ``tests/test_serving.py`` /
+``tests/test_serving_async.py`` for every registered recommender family
+and for GANC).
 """
 
 from repro.serving.artifact import (
@@ -56,14 +58,6 @@ from repro.serving.async_service import (
     build_async_service,
     serve_async,
     start_async_in_thread,
-)
-from repro.serving.service import (
-    RecommendationHandler,
-    RecommendationServer,
-    build_server,
-    install_sighup_reload,
-    serve,
-    start_in_thread,
 )
 from repro.serving.store import RecommendationStore, open_store
 from repro.serving.update import (
@@ -90,12 +84,6 @@ __all__ = [
     "refit_pipeline",
     "RecommendationStore",
     "open_store",
-    "RecommendationServer",
-    "RecommendationHandler",
-    "build_server",
-    "start_in_thread",
-    "install_sighup_reload",
-    "serve",
     "AsyncRecommendationService",
     "AsyncServiceHandle",
     "CoalescingBatcher",

@@ -41,9 +41,7 @@ to the compiled ``n``, so smaller ``k`` must fall back to live scoring).
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
-import os
 import time
 from pathlib import Path
 from typing import Any
@@ -56,6 +54,8 @@ from repro.parallel.tasks import TopNScoresTask
 from repro.pipeline.persistence import read_json
 from repro.pipeline.pipeline import Pipeline
 from repro.pipeline.spec import ExecutionSpec
+from repro.utils.atomic import atomic_save as _atomic_save
+from repro.utils.atomic import atomic_write_json as _atomic_write_json
 from repro.utils.topn import iter_user_blocks
 
 #: Current artifact format version.
@@ -110,46 +110,6 @@ def _resolve_pipeline(pipeline: Pipeline | str | Path) -> Pipeline:
 
 def _shard_name(kind: str, index: int) -> str:
     return f"{_SHARD_DIR}/{kind}_{index:05d}.npy"
-
-
-#: Per-process monotone counter making tmp names unique within a process;
-#: the pid makes them unique across processes sharing an artifact dir.
-_TMP_COUNTER = itertools.count()
-
-
-def _tmp_path(path: Path) -> Path:
-    """A collision-free temporary sibling of ``path``.
-
-    Two compiles writing into the same artifact directory (two processes,
-    or two threads of one) must never share a tmp name: a fixed
-    ``<name>.tmp`` would interleave their writes and rename a corrupt file
-    into place.  pid + per-process counter keeps every in-flight tmp
-    distinct; the ``.tmp`` suffix keeps it visible to the stale sweep.
-    """
-    return path.with_name(f"{path.name}.{os.getpid()}-{next(_TMP_COUNTER)}.tmp")
-
-
-def _atomic_save(path: Path, array: np.ndarray) -> None:
-    """Write one ``.npy`` file via rename, never truncating an existing file.
-
-    The documented serving workflow is "recompile in place, then SIGHUP":
-    a live :class:`~repro.serving.store.RecommendationStore` may hold
-    memory maps of the files being replaced.  ``os.replace`` swaps the
-    directory entry atomically, so existing maps keep reading the old inode
-    until the store reloads — overwriting in place would mutate (or, after
-    truncation, SIGBUS) pages under a serving process.
-    """
-    tmp = _tmp_path(path)
-    with open(tmp, "wb") as handle:
-        np.save(handle, array)
-    os.replace(tmp, path)
-
-
-def _atomic_write_json(path: Path, payload: dict[str, Any]) -> None:
-    """Write JSON via rename for the same live-reader reasons as shards."""
-    tmp = _tmp_path(path)
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
 
 
 def _sweep_stale(output_dir: Path, referenced: set[str], started: float) -> None:

@@ -1,10 +1,10 @@
-"""High-concurrency asyncio serving tier with request coalescing.
+"""The HTTP service behind ``repro serve``: asyncio with request coalescing.
 
-``repro serve --async`` stands this tier up.  The legacy
-:mod:`repro.serving.service` answers every request with its own
-single-user store lookup; under concurrency that leaves the batched lookup
-path — ~10x cheaper per row than single lookups in ``BENCH_serving.json``
-— unused.  This tier harvests it:
+A dependency-free (stdlib ``asyncio``) keep-alive HTTP/1.1 server over one
+:class:`~repro.serving.store.RecommendationStore`.  Answering every request
+with its own single-user store lookup would leave the batched lookup path —
+~10x cheaper per row than single lookups in ``BENCH_serving.json`` — unused
+under concurrency; this service harvests it:
 
 Request coalescing
     In-flight ``GET /recommend`` requests whose rows the memory-mapped
@@ -31,10 +31,15 @@ Pre-fork workers
     parent forwards ``SIGHUP`` (warm swap in every worker) and
     ``SIGTERM``/``SIGINT`` (shutdown).
 
-Everything user-visible is unchanged: responses are built by the payload
-helpers shared with the legacy tier (:func:`repro.serving.service.json_body`
-and friends), so ``/recommend`` bodies are byte-identical across tiers, and
-``/healthz``, ``/manifest`` and the ``SIGHUP`` warm swap keep working.
+Responses are built by the payload helpers in :mod:`repro.serving.service`
+(:func:`~repro.serving.service.json_body` and friends), so a ``/recommend``
+body is exactly the bytes those helpers produce for the store's lookup row,
+whichever path — coalesced, individual or batch — served it.  ``GET
+/healthz``, ``GET /manifest`` and ``GET /metrics`` report liveness, the
+artifact manifest and Prometheus counters; ``SIGHUP`` re-reads the manifest
+and drops shard maps and fallback caches (:meth:`RecommendationStore.reload`)
+without restarting the process, so an artifact recompiled in place starts
+serving immediately.
 """
 
 from __future__ import annotations
@@ -229,10 +234,8 @@ class AsyncRecommendationService:
         *,
         coalesce_max: int = DEFAULT_COALESCE_MAX,
         coalesce_window_us: int = DEFAULT_COALESCE_WINDOW_US,
-        verbose: bool = False,
     ) -> None:
         self.store = store
-        self.verbose = verbose
         self.started = time.monotonic()
         self.reloads = 0
         self.reload_failures = 0
@@ -277,8 +280,8 @@ class AsyncRecommendationService:
             self.store.reload()
             self.reloads += 1
         except ReproError as exc:
-            # Same contract as the legacy tier: a broken artifact
-            # mid-rewrite must not kill a serving process.
+            # A broken artifact mid-rewrite must not kill a serving
+            # process; the old mapped shards keep serving until the next HUP.
             self.reload_failures += 1
             logger.error("reload failed, keeping previous state: %s", exc)
 
@@ -649,8 +652,8 @@ def _simple_query_params(query: str) -> tuple[str | None, str | None] | None:
     The per-request fast path: ``user=U[&n=N]`` with no escapes costs a
     split instead of a full ``parse_qs`` pass.  Anything else — percent
     escapes, blank or repeated parameters, unknown keys — returns ``None``
-    so the caller falls back to ``parse_qs`` and keeps behaviour (and error
-    bodies) identical to the legacy tier.
+    so the caller falls back to ``parse_qs``, whose answers (and error
+    bodies) are the reference this shortcut must reproduce.
     """
     if "%" in query or "+" in query or ";" in query:
         return None
@@ -732,7 +735,6 @@ def build_async_service(
     fallback_cache_size: int = 2,
     coalesce_max: int | None = None,
     coalesce_window_us: int | None = None,
-    verbose: bool = False,
 ) -> AsyncRecommendationService:
     """Construct a (not yet started) async service over a fresh store handle."""
     store = RecommendationStore(
@@ -744,7 +746,6 @@ def build_async_service(
         coalesce_window_us=(
             DEFAULT_COALESCE_WINDOW_US if coalesce_window_us is None else coalesce_window_us
         ),
-        verbose=verbose,
     )
 
 
@@ -787,9 +788,9 @@ def start_async_in_thread(
 ) -> AsyncServiceHandle:
     """Run ``service`` on its own event loop in a daemon thread.
 
-    The embedding counterpart of :func:`repro.serving.service.start_in_thread`
-    for the async tier — used by the tests and the load benchmark.  Returns
-    once the listening socket is bound.
+    The embedding counterpart of :func:`serve_async` — used by the tests,
+    the examples and the load benchmark.  Returns once the listening socket
+    is bound.
     """
     started = threading.Event()
     box: dict[str, Any] = {}
@@ -850,7 +851,6 @@ async def _worker_main(
         fallback_cache_size=fallback_cache_size,
         coalesce_max=coalesce_max,
         coalesce_window_us=coalesce_window_us,
-        verbose=verbose,
     )
     loop = asyncio.get_running_loop()
     if hasattr(signal, "SIGHUP"):
@@ -876,7 +876,7 @@ def serve_async(
     coalesce_window_us: int | None = None,
     verbose: bool = True,
 ) -> int:
-    """Blocking entry point behind ``repro serve --async``; returns an exit code.
+    """Blocking entry point behind ``repro serve``; returns an exit code.
 
     ``workers=1`` serves from the calling process.  ``workers=K`` pre-forks
     ``K`` processes sharing one listening socket, each with its own event

@@ -1,18 +1,18 @@
 """Prometheus-text serving metrics: request counters + latency histogram.
 
-Both serving tiers expose ``GET /metrics`` in the Prometheus exposition
+``repro serve`` exposes ``GET /metrics`` in the Prometheus exposition
 format (text version 0.0.4), built from one :class:`ServingMetrics`
 instance per server: per-endpoint request counters and a fixed-bucket
 request-latency histogram, merged at render time with the counters the
-tiers already keep for ``/healthz`` (store row provenance, warm reloads,
-coalescing).  Everything is stdlib + a lock — no client library — so the
+service already keeps for ``/healthz`` (store row provenance, warm
+reloads, coalescing).  Everything is stdlib + a lock — no client library — so the
 endpoint is available in every environment that can import :mod:`repro`.
 
 The bucket boundaries are fixed at construction (Prometheus histograms are
 cumulative per-bucket counters, so boundaries must never change while a
 scraper is watching) and default to a 250µs–1s ladder matched to the
-measured serving latencies in ``BENCH_serving.json`` (p50 ~1.3ms async,
-~4.5ms legacy).
+measured serving latencies in ``BENCH_serving.json`` (p50 ~1.2ms with
+request coalescing, ~2ms without).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ DEFAULT_BUCKETS = (
     0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0,
 )
 
-#: Content type of the exposition format (returned by both tiers).
+#: Content type of the exposition format.
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
@@ -123,8 +123,8 @@ class ServingMetrics:
 
         ``store_stats`` is the store's ``/healthz`` counter dict
         (``artifact_rows`` / ``fallback_rows`` / ``fallback_builds``);
-        ``extra_counters`` adds tier-specific counters (the async tier's
-        coalescing stats) as ``repro_<name>`` gauges.
+        ``extra_counters`` adds further counters (the service's coalescing
+        stats) as ``repro_<name>`` gauges.
         """
         lines: list[str] = []
 

@@ -1,66 +1,34 @@
-"""A stdlib HTTP service over a :class:`RecommendationStore`.
+"""Response encoding for the HTTP service behind ``repro serve``.
 
-``repro serve --artifact DIR [--pipeline DIR]`` stands this server up.  It
-is deliberately dependency-free (``http.server`` + ``json``): the store does
-O(1) memory-mapped row reads, so a threading server is enough for the repro
-round trip, and the whole service remains runnable in any environment that
-can import :mod:`repro`.  For sustained concurrent traffic, the asyncio
-tier in :mod:`repro.serving.async_service` (``repro serve --async``)
-coalesces in-flight requests into the batched store path; it shares this
-module's payload builders, so both tiers answer with byte-identical JSON.
+The service itself lives in :mod:`repro.serving.async_service`; this module
+holds the payload builders and the canonical JSON encoding its responses
+are made of.  They are kept apart so that code checking served bytes — the
+tests and the serving benchmarks — can build the expected response for a
+store lookup without importing the server:
+``recommend_body(recommend_payload(store, user, n, *store.lookup(user, n)))``
+is exactly the body ``GET /recommend?user=U&n=N`` answers with.
 
-Endpoints
----------
-``GET /recommend?user=U[&n=N]``
-    The top-``N`` items of user ``U`` as JSON:
-    ``{"user", "n", "items", "scores", "source"}``.  ``items`` is trimmed of
-    ``-1`` padding; ``scores`` holds the artifact's diagnostic scores (or
-    ``null`` when the row came from live fallback); ``source`` is
-    ``"artifact"`` or ``"live"``.
-``GET /healthz``
-    Liveness plus serving counters: uptime, rows served from the artifact
-    vs. the fallback pipeline, and the number of warm reloads.
-``GET /manifest``
-    The artifact's ``manifest.json`` verbatim.
-``GET /metrics``
-    Prometheus exposition text: per-endpoint request counters, a
-    fixed-bucket request-latency histogram, store row provenance and
-    reload counters (:mod:`repro.serving.metrics`).
-
-Warm reload
------------
-``SIGHUP`` re-reads the manifest and drops shard maps and fallback caches
-(:meth:`RecommendationStore.reload`) without restarting the process, so an
-artifact recompiled in place starts serving immediately.
+``/recommend`` payloads are ``{"user", "n", "items", "scores", "source"}``:
+``items`` is trimmed of ``-1`` padding, ``scores`` holds the artifact's
+diagnostic scores (or ``null`` when the row came from live fallback) and
+``source`` is ``"artifact"`` or ``"live"``.
 """
 
 from __future__ import annotations
 
 import json
-import logging
-import signal
-import threading
-import time
 from math import isfinite
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
 from typing import Any
-from urllib.parse import parse_qs, urlsplit
 
 import numpy as np
 
-from repro.exceptions import ReproError, ServingError
-from repro.pipeline.pipeline import Pipeline
-from repro.serving.metrics import METRICS_CONTENT_TYPE, ServingMetrics
 from repro.serving.store import RecommendationStore
-
-logger = logging.getLogger("repro.serving")
 
 
 def _jsonable_row(items: np.ndarray, scores: np.ndarray | None) -> tuple[list[int], list[float | None] | None]:
     """Trim ``-1`` padding and convert non-finite scores to ``None``.
 
-    Runs on every ``/recommend`` response in both serving tiers.  One bulk
+    Runs on every ``/recommend`` response.  One bulk
     ``tolist()`` per array converts to Python scalars, then plain-``int``
     comparisons trim the padding: for the short rows served here that beats
     both per-element numpy scalar iteration and mask/fancy-index chains,
@@ -79,11 +47,7 @@ def _jsonable_row(items: np.ndarray, scores: np.ndarray | None) -> tuple[list[in
 
 
 def json_body(payload: dict[str, Any]) -> bytes:
-    """The canonical JSON response encoding shared by both serving tiers.
-
-    Both the legacy ``http.server`` tier and the asyncio tier emit exactly
-    these bytes, which is what makes the tiers' responses byte-comparable.
-    """
+    """The canonical JSON response encoding of every JSON endpoint."""
     return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
 
 
@@ -95,7 +59,7 @@ def recommend_body(payload: dict[str, Any]) -> bytes:
     order, the values are ints, finite floats, ``None`` and clean strings,
     and ``repr`` of a finite float is exactly what ``json.dumps`` emits.
     Asserted against ``json_body`` in the test suite; runs for every
-    ``/recommend`` response in both tiers.
+    ``/recommend`` response.
     """
     scores = payload["scores"]
     if scores is None:
@@ -135,7 +99,7 @@ def healthz_payload(
     reloads: int,
     reload_failures: int,
 ) -> dict[str, Any]:
-    """Build the ``/healthz`` payload fields common to both serving tiers."""
+    """Build the ``/healthz`` payload fields that describe the store."""
     return {
         "status": "ok",
         "artifact": str(store.artifact_dir),
@@ -150,210 +114,3 @@ def healthz_payload(
         "reload_failures": reload_failures,
         "served": dict(store.stats),
     }
-
-
-class RecommendationServer(ThreadingHTTPServer):
-    """Threading HTTP server bound to one :class:`RecommendationStore`."""
-
-    daemon_threads = True
-
-    def __init__(
-        self,
-        address: tuple[str, int],
-        store: RecommendationStore,
-        *,
-        verbose: bool = False,
-    ) -> None:
-        super().__init__(address, RecommendationHandler)
-        self.store = store
-        self.verbose = verbose
-        self.started = time.monotonic()
-        self.reloads = 0
-        self.reload_failures = 0
-        self.metrics = ServingMetrics()
-
-    def reload(self) -> None:
-        """Warm-reload the store (the SIGHUP hook); never raises."""
-        try:
-            self.store.reload()
-            self.reloads += 1
-        except ReproError as exc:
-            # A broken artifact mid-rewrite must not kill a serving process;
-            # the old mapped shards keep serving until the next HUP.
-            self.reload_failures += 1
-            logger.error("reload failed, keeping previous state: %s", exc)
-
-
-class RecommendationHandler(BaseHTTPRequestHandler):
-    """Routes ``/recommend``, ``/healthz`` and ``/manifest``."""
-
-    server: RecommendationServer
-    server_version = "repro-serve/1"
-    #: HTTP/1.1 keeps client connections alive between requests (every
-    #: response carries Content-Length), so closed-loop clients are not
-    #: charged a TCP handshake per lookup and load comparisons against the
-    #: asyncio tier measure the same transport.
-    protocol_version = "HTTP/1.1"
-    #: A keep-alive response is two socket writes (headers, then body);
-    #: without TCP_NODELAY the body write stalls ~40ms behind Nagle waiting
-    #: on the client's delayed ACK of the header segment.
-    disable_nagle_algorithm = True
-
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        """Suppress per-request logging unless the owning server is verbose."""
-        if getattr(self.server, "verbose", False):
-            super().log_message(format, *args)
-
-    def _send_json(self, payload: dict[str, Any], status: int = 200) -> None:
-        self._send_body(json_body(payload), status)
-
-    def _send_body(
-        self,
-        body: bytes,
-        status: int = 200,
-        content_type: str = "application/json",
-    ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _error(self, message: str, status: int) -> None:
-        self._send_json({"error": message}, status=status)
-
-    #: /metrics endpoint labels (anything else counts as "other").
-    _ENDPOINTS = {
-        "/recommend": "recommend",
-        "/healthz": "healthz",
-        "/manifest": "manifest",
-        "/metrics": "metrics",
-    }
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server naming convention
-        """Dispatch a GET request to the matching endpoint."""
-        parsed = urlsplit(self.path)
-        start = time.perf_counter()
-        try:
-            if parsed.path == "/recommend":
-                self._handle_recommend(parse_qs(parsed.query))
-            elif parsed.path == "/healthz":
-                self._handle_healthz()
-            elif parsed.path == "/manifest":
-                self._send_json(self.server.store.manifest)
-            elif parsed.path == "/metrics":
-                self._handle_metrics()
-            else:
-                self._error(f"unknown path {parsed.path!r}", 404)
-        except ServingError as exc:
-            self._error(str(exc), 404)
-        except ReproError as exc:
-            self._error(str(exc), 400)
-        finally:
-            self.server.metrics.observe(
-                self._ENDPOINTS.get(parsed.path, "other"),
-                time.perf_counter() - start,
-            )
-
-    def _handle_recommend(self, query: dict[str, list[str]]) -> None:
-        if "user" not in query:
-            self._error("missing required query parameter 'user'", 400)
-            return
-        try:
-            user = int(query["user"][0])
-            n = int(query["n"][0]) if "n" in query else None
-        except ValueError:
-            self._error("'user' and 'n' must be integers", 400)
-            return
-        store = self.server.store
-        items, scores, source = store.lookup(user, n)
-        self._send_body(recommend_body(recommend_payload(store, user, n, items, scores, source)))
-
-    def _handle_healthz(self) -> None:
-        self._send_json(
-            healthz_payload(
-                self.server.store,
-                uptime_seconds=round(time.monotonic() - self.server.started, 3),
-                reloads=self.server.reloads,
-                reload_failures=self.server.reload_failures,
-            )
-        )
-
-    def _handle_metrics(self) -> None:
-        text = self.server.metrics.render(
-            store_stats=self.server.store.stats,
-            reloads=self.server.reloads,
-            reload_failures=self.server.reload_failures,
-        )
-        self._send_body(text.encode("utf-8"), content_type=METRICS_CONTENT_TYPE)
-
-
-def build_server(
-    artifact_dir: str | Path,
-    *,
-    pipeline: Pipeline | str | Path | None = None,
-    host: str = "127.0.0.1",
-    port: int = 8000,
-    fallback_cache_size: int = 2,
-    verbose: bool = False,
-) -> RecommendationServer:
-    """Construct a (not yet serving) server; ``port=0`` picks an ephemeral port."""
-    store = RecommendationStore(
-        artifact_dir, pipeline=pipeline, fallback_cache_size=fallback_cache_size
-    )
-    return RecommendationServer((host, port), store, verbose=verbose)
-
-
-def start_in_thread(server: RecommendationServer) -> threading.Thread:
-    """Run ``serve_forever`` in a daemon thread (tests, smoke scripts)."""
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return thread
-
-
-def install_sighup_reload(server: RecommendationServer) -> bool:
-    """Bind SIGHUP to a warm reload; returns False where that is impossible.
-
-    Signal handlers can only be installed from the main thread (and SIGHUP
-    does not exist on Windows), so callers embedding the server elsewhere
-    fall back to calling :meth:`RecommendationServer.reload` directly.
-    """
-    if not hasattr(signal, "SIGHUP"):
-        return False
-    if threading.current_thread() is not threading.main_thread():
-        return False
-    signal.signal(signal.SIGHUP, lambda signum, frame: server.reload())
-    return True
-
-
-def serve(
-    artifact_dir: str | Path,
-    *,
-    pipeline: Pipeline | str | Path | None = None,
-    host: str = "127.0.0.1",
-    port: int = 8000,
-    fallback_cache_size: int = 2,
-    verbose: bool = True,
-) -> int:
-    """Blocking entry point behind ``repro serve``; returns an exit code."""
-    server = build_server(
-        artifact_dir,
-        pipeline=pipeline,
-        host=host,
-        port=port,
-        fallback_cache_size=fallback_cache_size,
-        verbose=verbose,
-    )
-    hup = install_sighup_reload(server)
-    bound_host, bound_port = server.server_address[:2]
-    print(f"repro serve: listening on http://{bound_host}:{bound_port}")
-    print(f"  artifact: {server.store.artifact_dir}  ({server.store!r})")
-    if hup:
-        print("  SIGHUP triggers a warm reload")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("repro serve: shutting down")
-    finally:
-        server.server_close()
-    return 0

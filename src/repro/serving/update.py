@@ -64,8 +64,6 @@ from repro.pipeline.spec import ExecutionSpec
 from repro.serving.artifact import (
     ARTIFACT_FORMAT_VERSION,
     MANIFEST_FILE,
-    _atomic_save,
-    _atomic_write_json,
     _compute_rows,
     _resolve_pipeline,
     _shard_name,
@@ -74,6 +72,8 @@ from repro.serving.artifact import (
     serving_environment,
     spec_hash,
 )
+from repro.utils.atomic import atomic_save as _atomic_save
+from repro.utils.atomic import atomic_write_json as _atomic_write_json
 from repro.utils.topn import iter_user_blocks
 
 

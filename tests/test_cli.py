@@ -2,6 +2,15 @@
 
 from __future__ import annotations
 
+import http.client
+import json
+import os
+import re
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -368,15 +377,58 @@ def test_cli_run_ganc_overrides_change_the_run(tmp_path, capsys):
     assert base_csv.read_bytes() == same_csv.read_bytes()
 
 
-def test_cli_serve_async_only_flags_require_async(tmp_path):
-    """--workers/--coalesce-* configure the async tier; reject them without it."""
-    for flags in (
-        ["--workers", "2"],
-        ["--coalesce-max", "8"],
-        ["--coalesce-window-us", "0"],
-    ):
-        with pytest.raises(ConfigurationError, match="requires --async"):
-            main(["serve", "--artifact", str(tmp_path), *flags])
+def _post_batch_to_cli_server(artifact_dir: Path, flags: list[str]) -> tuple[int, bytes]:
+    """Start `repro serve` with ``flags``, POST one batch, stop the server."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(src)] + env.get("PYTHONPATH", "").split(os.pathsep))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--artifact", str(artifact_dir),
+         "--port", "0", *flags],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        env=env,
+    )
+    try:
+        banner = proc.stdout.readline()
+        match = re.search(r"http://([\d.]+):(\d+)", banner)
+        assert match, banner
+        deadline = time.monotonic() + 30
+        while True:  # the socket listens before the event loop accepts
+            try:
+                conn = http.client.HTTPConnection(match.group(1), int(match.group(2)), timeout=30)
+                try:
+                    conn.request("POST", "/recommend/batch", body=b'{"users": [0, 3], "n": 5}')
+                    response = conn.getresponse()
+                    return response.status, response.read()
+                finally:
+                    conn.close()
+            except OSError:
+                if time.monotonic() > deadline:
+                    raise
+                time.sleep(0.05)
+    finally:
+        proc.terminate()
+        proc.wait(timeout=30)
+
+
+def test_cli_serve_runs_the_async_tier_with_or_without_async(small_split, tmp_path):
+    """Every `repro serve` is the asyncio tier; --async is accepted and changes nothing."""
+    from repro.pipeline import ComponentSpec, EvaluationSpec, Pipeline, PipelineSpec
+    from repro.serving import RecommendationStore, compile_artifact
+    from repro.serving.service import recommend_payload
+
+    spec = PipelineSpec(recommender=ComponentSpec("pop"), evaluation=EvaluationSpec(n=5), seed=0)
+    compile_artifact(Pipeline(spec).fit(small_split), tmp_path / "art")
+    store = RecommendationStore(tmp_path / "art")
+    expected = [recommend_payload(store, user, 5, *store.lookup(user, 5)) for user in (0, 3)]
+
+    # --coalesce-max configures the coalescing tier; it needs no --async.
+    status, body = _post_batch_to_cli_server(tmp_path / "art", ["--coalesce-max", "8"])
+    assert status == 200
+    assert json.loads(body) == {"count": 2, "results": expected}
+    assert _post_batch_to_cli_server(tmp_path / "art", ["--async"]) == (status, body)
 
 
 def test_cli_serve_rejects_nonpositive_worker_counts(tmp_path):

@@ -9,9 +9,7 @@ for GANC pipelines.
 
 from __future__ import annotations
 
-import http.client
 import json
-import logging
 import threading
 import urllib.error
 import urllib.request
@@ -33,12 +31,12 @@ from repro.registry import available
 from repro.serving import (
     ARTIFACT_FORMAT_VERSION,
     RecommendationStore,
-    build_server,
+    build_async_service,
     compile_artifact,
     load_manifest,
     serving_environment,
     spec_hash,
-    start_in_thread,
+    start_async_in_thread,
 )
 from repro.serving.service import json_body, recommend_body
 
@@ -404,14 +402,13 @@ def test_compile_cli_round_trip(small_split, pop_pipeline_dir, tmp_path):
 @pytest.fixture()
 def live_server(pop_pipeline_dir, pop_artifact_dir):
     """A serving HTTP server on an ephemeral port, torn down after the test."""
-    server = build_server(pop_artifact_dir, pipeline=pop_pipeline_dir, port=0)
-    start_in_thread(server)
-    host, port = server.server_address[:2]
+    handle = start_async_in_thread(
+        build_async_service(pop_artifact_dir, pipeline=pop_pipeline_dir)
+    )
     try:
-        yield server, f"http://{host}:{port}"
+        yield handle, handle.base_url
     finally:
-        server.shutdown()
-        server.server_close()
+        handle.stop()
 
 
 def _get_json(url: str) -> dict:
@@ -442,7 +439,7 @@ def test_http_fallback_lookup(small_split, live_server):
 
 
 def test_http_healthz_and_manifest(live_server, pop_artifact_dir):
-    server, base = live_server
+    _, base = live_server
     health = _get_json(f"{base}/healthz")
     assert health["status"] == "ok"
     assert health["n"] == N
@@ -468,65 +465,18 @@ def test_http_error_statuses(live_server):
 
 
 def test_warm_reload_keeps_serving(live_server):
-    server, base = live_server
+    handle, base = live_server
     before = _get_json(f"{base}/recommend?user=1")
-    server.reload()  # what the SIGHUP handler invokes
+    # What the SIGHUP handler invokes; it is queued on the event loop ahead
+    # of the requests below.
+    handle.reload()
     after = _get_json(f"{base}/recommend?user=1")
     assert before["items"] == after["items"]
     assert _get_json(f"{base}/healthz")["reloads"] == 1
 
 
-def test_failed_reload_logs_and_counts_without_dropping_service(
-    small_split, tmp_path, caplog
-):
-    """The SIGHUP hook survives a broken artifact: logged, counted, serving."""
-    pipeline = Pipeline(_bare_spec("pop")).fit(small_split)
-    pipeline.save(tmp_path / "pipe")
-    compile_artifact(tmp_path / "pipe", tmp_path / "art", shard_size=16)
-    server = build_server(tmp_path / "art", pipeline=tmp_path / "pipe", port=0)
-    start_in_thread(server)
-    host, port = server.server_address[:2]
-    base = f"http://{host}:{port}"
-    try:
-        before = _get_json(f"{base}/recommend?user=1")
-        # Recompile in place from a different spec: reload must reject it.
-        other = Pipeline(_bare_spec("rand")).fit(small_split)
-        compile_artifact(other, tmp_path / "art", shard_size=16)
-        with caplog.at_level(logging.ERROR, logger="repro.serving"):
-            server.reload()
-        assert server.reload_failures == 1 and server.reloads == 0
-        assert any("reload failed" in record.message for record in caplog.records)
-        health = _get_json(f"{base}/healthz")
-        assert health["reload_failures"] == 1 and health["reloads"] == 0
-        assert _get_json(f"{base}/recommend?user=1") == before
-    finally:
-        server.shutdown()
-        server.server_close()
-
-
-def test_legacy_keep_alive_reuses_one_connection(live_server):
-    """HTTP/1.1 keep-alive: consecutive requests share one TCP connection."""
-    server, _ = live_server
-    host, port = server.server_address[:2]
-    conn = http.client.HTTPConnection(host, port, timeout=30)
-    try:
-        conn.request("GET", f"/recommend?user=0&n={N}")
-        first = conn.getresponse()
-        assert first.status == 200
-        first.read()
-        sock = conn.sock
-        assert sock is not None
-        conn.request("GET", "/healthz")
-        second = conn.getresponse()
-        assert second.status == 200
-        second.read()
-        assert conn.sock is sock  # same TCP connection served both
-    finally:
-        conn.close()
-
-
 # --------------------------------------------------------------------------- #
-# Payload encoding and routing predicates shared with the async tier
+# Payload encoding and the routing predicate
 # --------------------------------------------------------------------------- #
 def test_recommend_body_is_byte_identical_to_json_body():
     """The hand-rolled /recommend encoder must track json.dumps exactly."""

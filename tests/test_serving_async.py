@@ -1,17 +1,19 @@
 """Async serving tier: coalescing, batch endpoint, workers, byte-identity.
 
-The contract under test extends the legacy tier's: for every request the
-asyncio tier (`repro serve --async`) must answer with *byte-identical*
-bodies to the legacy ``http.server`` tier — success responses and error
-responses alike, for every registered recommender family and for GANC
-pipelines — while routing covered lookups through the coalesced batched
-store path.
+The contract under test: for every request, ``repro serve`` answers with
+the bytes the threading ``http.server`` tier (its former default) sent — a
+success body is what the payload helpers build from the store's own lookup
+row, and an error is the pinned ``(status, body)`` of
+:data:`ERROR_RESPONSES` — for every registered recommender family and for
+GANC pipelines, while routing covered lookups through the coalesced
+batched store path.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import logging
 import os
 import re
 import signal
@@ -37,10 +39,8 @@ from repro.serving import (
     CoalescingBatcher,
     RecommendationStore,
     build_async_service,
-    build_server,
     compile_artifact,
     start_async_in_thread,
-    start_in_thread,
 )
 from repro.serving.service import json_body, recommend_body, recommend_payload
 
@@ -112,76 +112,86 @@ def _request(
         conn.close()
 
 
-def _both_tiers(artifact_dir, pipeline_dir):
-    """Start the legacy and async tiers over the same artifact."""
-    server = build_server(artifact_dir, pipeline=pipeline_dir, port=0)
-    start_in_thread(server)
-    service = build_async_service(artifact_dir, pipeline=pipeline_dir)
-    handle = start_async_in_thread(service)
-
-    def stop() -> None:
-        handle.stop()
-        server.shutdown()
-        server.server_close()
-
-    return server.server_address[:2], handle.address, stop
-
-
-#: Request paths every tier-equality sweep compares: covered lookups,
-#: default n, prefix n, live fallback n, and the whole error surface.
-def _equality_paths(n_users: int) -> list[str]:
+#: Successful requests every byte sweep checks, as ``(path, user, n)``:
+#: covered lookups, default n, prefix n, live fallback n and an escaped query.
+def _success_requests(n_users: int) -> list[tuple[str, int, int | None]]:
     return [
-        f"/recommend?user=0&n={N}",
-        f"/recommend?user=7&n={N}",
-        f"/recommend?user={n_users - 1}&n={N}",
-        "/recommend?user=3",            # n defaults to the artifact's n
-        "/recommend?user=4&n=3",        # prefix slice when consistent, else live
-        f"/recommend?user=2&n={N + 2}",  # beyond the compiled n -> live fallback
-        "/recommend",                   # 400 missing user
-        "/recommend?user=abc",          # 400 not an integer
-        "/recommend?user=0&n=zz",       # 400 not an integer
-        "/recommend?user=999999",       # 404 out of range
-        "/recommend?user=-1",           # 404 out of range
-        "/recommend?user=0&n=0",        # 400 invalid n
-        "/recommend?user=%30&n=5",      # percent-escaped: parse_qs fallback path
-        "/nope",                        # 404 unknown path
+        (f"/recommend?user=0&n={N}", 0, N),
+        (f"/recommend?user=7&n={N}", 7, N),
+        (f"/recommend?user={n_users - 1}&n={N}", n_users - 1, N),
+        ("/recommend?user=3", 3, None),              # n defaults to the artifact's n
+        ("/recommend?user=4&n=3", 4, 3),             # prefix slice when consistent, else live
+        (f"/recommend?user=2&n={N + 2}", 2, N + 2),  # beyond the compiled n -> live fallback
+        ("/recommend?user=%30&n=5", 0, 5),           # percent-escaped: parse_qs fallback path
     ]
 
 
+#: ``(status, body)`` of every error path on ``small_split`` (80 users,
+#: 150 items), recorded from the threading ``http.server`` tier that
+#: ``repro serve`` ran before the asyncio service became its only tier.
+#: The bodies were the same for every registered family and for GANC.
+ERROR_RESPONSES: dict[str, tuple[int, bytes]] = {
+    "/recommend": (400, b'{"error": "missing required query parameter \'user\'"}\n'),
+    "/recommend?user=abc": (400, b'{"error": "\'user\' and \'n\' must be integers"}\n'),
+    "/recommend?user=0&n=zz": (400, b'{"error": "\'user\' and \'n\' must be integers"}\n'),
+    "/recommend?user=999999": (
+        404, b'{"error": "user index out of range: got 999999, valid range is [0, 80)"}\n'
+    ),
+    "/recommend?user=-1": (
+        404, b'{"error": "user index out of range: got -1, valid range is [0, 80)"}\n'
+    ),
+    "/recommend?user=0&n=0": (400, b'{"error": "n must be >= 1, got 0"}\n'),
+    "/nope": (404, b'{"error": "unknown path \'/nope\'"}\n'),
+    "/recommend?user=NaN": (400, b'{"error": "\'user\' and \'n\' must be integers"}\n'),
+    "/recommend?user=1.5": (400, b'{"error": "\'user\' and \'n\' must be integers"}\n'),
+    "/recommend?user=1e3": (400, b'{"error": "\'user\' and \'n\' must be integers"}\n'),
+    "/recommend?user=": (400, b'{"error": "missing required query parameter \'user\'"}\n'),
+    "/recommend?user=0&n=151": (
+        400, b'{"error": "n=151 exceeds the compiled item universe (150 items)"}\n'
+    ),
+    "/recommend?user=0&n=-3": (400, b'{"error": "n must be >= 1, got -3"}\n'),
+}
+
+
+def _assert_served_bytes(artifact_dir, pipeline_dir, n_users: int, label: str) -> None:
+    """Serve the artifact; every success and error response must be exact.
+
+    Success bodies are checked against the payload helpers applied to the
+    store's own lookup — exactly what the ``http.server`` tier's handler
+    sent — and errors against :data:`ERROR_RESPONSES`.
+    """
+    store = RecommendationStore(artifact_dir, pipeline=pipeline_dir)
+    handle = start_async_in_thread(build_async_service(artifact_dir, pipeline=pipeline_dir))
+    try:
+        for path, user, n in _success_requests(n_users):
+            expected = recommend_body(recommend_payload(store, user, n, *store.lookup(user, n)))
+            assert _request(handle.address, path) == (200, expected), (label, path)
+        for path, expected in ERROR_RESPONSES.items():
+            assert _request(handle.address, path) == expected, (label, path)
+    finally:
+        handle.stop()
+
+
 # --------------------------------------------------------------------------- #
-# Byte-identity across tiers: every recommender family + GANC
+# Byte-identity: every recommender family + GANC
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("name", sorted(available("recommender")))
 def test_async_tier_bytes_match_legacy_for_every_family(name, small_split, tmp_path):
+    """Every response is the byte string the ``http.server`` tier sent."""
     pipeline = Pipeline(_bare_spec(name)).fit(small_split)
     pipeline.save(tmp_path / "pipe")
     compile_artifact(tmp_path / "pipe", tmp_path / "art", shard_size=13)
-    legacy_addr, async_addr, stop = _both_tiers(tmp_path / "art", tmp_path / "pipe")
-    try:
-        for path in _equality_paths(small_split.train.n_users):
-            legacy_status, legacy_body = _request(legacy_addr, path)
-            async_status, async_body = _request(async_addr, path)
-            assert async_status == legacy_status, (name, path)
-            assert async_body == legacy_body, (name, path)
-    finally:
-        stop()
+    _assert_served_bytes(tmp_path / "art", tmp_path / "pipe", small_split.train.n_users, name)
 
 
 def test_async_tier_bytes_match_legacy_for_ganc(small_split, tmp_path):
+    """Every response is the byte string the ``http.server`` tier sent."""
     pipeline = Pipeline(_ganc_spec()).fit(small_split)
     pipeline.save(tmp_path / "pipe")
     compile_artifact(tmp_path / "pipe", tmp_path / "art", shard_size=9)
-    legacy_addr, async_addr, stop = _both_tiers(tmp_path / "art", tmp_path / "pipe")
-    try:
-        # GANC artifacts are not prefix-consistent, so n=3 exercises the
-        # live-fallback route through the async tier's individual path.
-        for path in _equality_paths(small_split.train.n_users):
-            legacy_status, legacy_body = _request(legacy_addr, path)
-            async_status, async_body = _request(async_addr, path)
-            assert async_status == legacy_status, path
-            assert async_body == legacy_body, path
-    finally:
-        stop()
+    # GANC artifacts are not prefix-consistent, so n=3 exercises the
+    # live-fallback route through the async tier's individual path.
+    _assert_served_bytes(tmp_path / "art", tmp_path / "pipe", small_split.train.n_users, "ganc")
 
 
 def test_async_responses_match_store_computed_bytes(small_split, async_handle, pop_artifact_dir):
@@ -386,9 +396,9 @@ def _hammer(address, plan, bodies: list, errors: list, index: int) -> None:
 
 
 def test_concurrent_clients_get_byte_identical_responses(
-    small_split, pop_pipeline_dir, pop_artifact_dir
+    small_split, pop_pipeline_dir, pop_artifact_dir, async_handle
 ):
-    """Both tiers, 8 keep-alive clients each, mixed user/n: exact bytes."""
+    """8 concurrent keep-alive clients, mixed user/n: exact bytes."""
     n_users = small_split.train.n_users
     rng = np.random.default_rng(3)
     plans = []
@@ -399,23 +409,18 @@ def test_concurrent_clients_get_byte_identical_responses(
     reference = RecommendationStore(pop_artifact_dir, pipeline=pop_pipeline_dir)
     expected = [_expected_bodies(reference, plan) for plan in plans]
 
-    legacy_addr, async_addr, stop = _both_tiers(pop_artifact_dir, pop_pipeline_dir)
-    try:
-        for address in (legacy_addr, async_addr):
-            bodies: list = [None] * len(plans)
-            errors: list = []
-            threads = [
-                threading.Thread(target=_hammer, args=(address, plan, bodies, errors, i))
-                for i, plan in enumerate(plans)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-            assert not errors, errors
-            assert bodies == expected
-    finally:
-        stop()
+    bodies: list = [None] * len(plans)
+    errors: list = []
+    threads = [
+        threading.Thread(target=_hammer, args=(async_handle.address, plan, bodies, errors, i))
+        for i, plan in enumerate(plans)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not errors, errors
+    assert bodies == expected
 
 
 def test_warm_reload_under_load_never_drops_a_request(
@@ -444,8 +449,8 @@ def test_warm_reload_under_load_never_drops_a_request(
     assert json.loads(body)["reloads"] >= 1
 
 
-def test_async_reload_failure_increments_counter(small_split, tmp_path):
-    """A broken in-place recompile must not kill serving; /healthz counts it."""
+def test_async_reload_failure_increments_counter(small_split, tmp_path, caplog):
+    """A broken in-place recompile must not kill serving; logged, /healthz counts it."""
     pipeline = Pipeline(_bare_spec("pop")).fit(small_split)
     pipeline.save(tmp_path / "pipe")
     compile_artifact(tmp_path / "pipe", tmp_path / "art", shard_size=16)
@@ -456,14 +461,16 @@ def test_async_reload_failure_increments_counter(small_split, tmp_path):
         # Recompile from a different spec: reload must reject it and keep serving.
         other = Pipeline(_bare_spec("rand")).fit(small_split)
         compile_artifact(other, tmp_path / "art", shard_size=16)
-        handle.reload()
-        deadline = time.monotonic() + 10
-        while time.monotonic() < deadline:
-            health = json.loads(_request(handle.address, "/healthz")[1])
-            if health["reload_failures"]:
-                break
-            time.sleep(0.01)
+        with caplog.at_level(logging.ERROR, logger="repro.serving"):
+            handle.reload()
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline:
+                health = json.loads(_request(handle.address, "/healthz")[1])
+                if health["reload_failures"]:
+                    break
+                time.sleep(0.01)
         assert health["reload_failures"] == 1 and health["reloads"] == 0
+        assert any("reload failed" in record.message for record in caplog.records)
         _, after = _request(handle.address, f"/recommend?user=1&n={N}")
         assert after == before
     finally:

@@ -1,4 +1,4 @@
-"""Tests for the Prometheus-text ``/metrics`` endpoint on both serving tiers."""
+"""Tests for the Prometheus-text ``/metrics`` endpoint of ``repro serve``."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from repro.serving.metrics import (
     ServingMetrics,
     parse_metrics,
 )
-from repro.serving.service import build_server, start_in_thread
 
 N = 5
 
@@ -126,38 +125,8 @@ class TestServingMetricsRender:
 
 
 # --------------------------------------------------------------------------- #
-# Live endpoints, both tiers
+# Live endpoint
 # --------------------------------------------------------------------------- #
-def test_legacy_tier_metrics_endpoint(pop_pipeline_dir, pop_artifact_dir):
-    server = build_server(pop_artifact_dir, pipeline=pop_pipeline_dir, port=0)
-    start_in_thread(server)
-    address = server.server_address[:2]
-    try:
-        for user in range(4):
-            status, _, _ = _request(address, f"/recommend?user={user}&n={N}")
-            assert status == 200
-        _request(address, "/healthz")
-        _request(address, "/nope")
-
-        status, content_type, body = _request(address, "/metrics")
-        assert status == 200
-        assert content_type == METRICS_CONTENT_TYPE
-        samples = parse_metrics(body.decode("utf-8"))
-        assert samples['repro_requests_total{endpoint="recommend"}'] == 4
-        assert samples['repro_requests_total{endpoint="healthz"}'] == 1
-        assert samples['repro_requests_total{endpoint="other"}'] == 1
-        assert samples["repro_request_latency_seconds_count"] == 6
-        assert samples['repro_store_rows_total{source="artifact"}'] == 4
-        assert samples["repro_reloads_total"] == 0
-        # The scrape itself is counted on the next scrape.
-        _, _, body = _request(address, "/metrics")
-        samples = parse_metrics(body.decode("utf-8"))
-        assert samples['repro_requests_total{endpoint="metrics"}'] >= 1
-    finally:
-        server.shutdown()
-        server.server_close()
-
-
 def test_async_tier_metrics_endpoint(pop_pipeline_dir, pop_artifact_dir):
     service = build_async_service(pop_artifact_dir, pipeline=pop_pipeline_dir)
     handle = start_async_in_thread(service)
@@ -170,6 +139,7 @@ def test_async_tier_metrics_endpoint(pop_pipeline_dir, pop_artifact_dir):
         finally:
             conn.close()
         _request(handle.address, "/healthz")
+        _request(handle.address, "/nope")
 
         status, content_type, body = _request(handle.address, "/metrics")
         assert status == 200
@@ -177,10 +147,16 @@ def test_async_tier_metrics_endpoint(pop_pipeline_dir, pop_artifact_dir):
         samples = parse_metrics(body.decode("utf-8"))
         assert samples['repro_requests_total{endpoint="recommend"}'] == 3
         assert samples['repro_requests_total{endpoint="healthz"}'] == 1
-        assert samples["repro_request_latency_seconds_count"] == 4
+        assert samples['repro_requests_total{endpoint="other"}'] == 1
+        assert samples["repro_request_latency_seconds_count"] == 5
         assert samples['repro_store_rows_total{source="artifact"}'] == 3
-        # Tier-specific coalescing counters are exported with a prefix.
+        assert samples["repro_reloads_total"] == 0
+        # Coalescing counters are exported with a prefix.
         assert samples["repro_coalesce_batched_rows"] == service.coalescing["batched_rows"]
         assert samples["repro_coalesce_batches"] == service.coalescing["batches"]
+        # The scrape itself is counted on the next scrape.
+        _, _, body = _request(handle.address, "/metrics")
+        samples = parse_metrics(body.decode("utf-8"))
+        assert samples['repro_requests_total{endpoint="metrics"}'] >= 1
     finally:
         handle.stop()

@@ -43,13 +43,11 @@ from repro.recommenders.knn import ItemKNN
 from repro.serving import (
     RecommendationStore,
     build_async_service,
-    build_server,
     compile_artifact,
     compile_artifact_update,
     load_manifest,
     refit_pipeline,
     start_async_in_thread,
-    start_in_thread,
 )
 
 N = 5
@@ -505,32 +503,27 @@ class TestCoversRobustness:
         assert store.covers(np.asarray([1.0, 2.0])) is True  # coercible floats
 
 
-class TestBadUsersThroughBothTiers:
-    def test_sync_tier_rejects_non_integer_user_with_400(
-        self, tmp_path, small_split
-    ):
+class TestBadUsersThroughHTTP:
+    def test_get_rejects_non_integer_user_with_400(self, tmp_path, small_split):
         artifact_dir = tmp_path / "artifact"
         compile_artifact(
             Pipeline(_bare_spec("pop")).fit(small_split), artifact_dir, shard_size=16
         )
-        server = build_server(artifact_dir, port=0)
-        start_in_thread(server)
+        handle = start_async_in_thread(build_async_service(artifact_dir))
         try:
-            host, port = server.server_address[:2]
             for query in ("user=NaN", "user=abc", "user=1.5"):
-                conn = http.client.HTTPConnection(host, port, timeout=30)
+                conn = http.client.HTTPConnection(*handle.address, timeout=30)
                 try:
                     conn.request("GET", f"/recommend?{query}")
-                    assert conn.getresponse().status == 400
+                    response = conn.getresponse()
+                    response.read()
+                    assert response.status == 400, query
                 finally:
                     conn.close()
         finally:
-            server.shutdown()
-            server.server_close()
+            handle.stop()
 
-    def test_async_tier_rejects_non_integer_users_with_400(
-        self, tmp_path, small_split
-    ):
+    def test_batch_rejects_non_integer_users_with_400(self, tmp_path, small_split):
         artifact_dir = tmp_path / "artifact"
         compile_artifact(
             Pipeline(_bare_spec("pop")).fit(small_split), artifact_dir, shard_size=16
