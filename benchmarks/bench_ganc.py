@@ -46,12 +46,10 @@ from repro.data.split import RatioSplitter
 from repro.data.synthetic import make_dataset
 from repro.ganc.locally_greedy import LocallyGreedyOptimizer
 from repro.ganc.oslg import OSLGOptimizer
-from repro.ganc.value_function import combined_item_scores
-from repro.parallel.executor import resolve_executor
-from repro.parallel.tasks import SnapshotAssignTask
+from repro.ganc.value_function import combined_item_scores, combined_score_matrix
 from repro.recommenders.registry import make_recommender
 from repro.utils.rng import ensure_rng
-from repro.utils.topn import iter_user_blocks, top_n_indices
+from repro.utils.topn import iter_user_blocks, mask_pairs, top_n_indices, top_n_matrix
 
 from bench_json import write_bench_json
 
@@ -110,19 +108,18 @@ def legacy_oslg(model, train, theta, n, sample_size, seed):
     sampled = sampled[np.argsort(theta[sampled], kind="stable")]
     out, snapshots = legacy_sequential_pass(model, train, theta, sampled, n)
     remaining = np.setdiff1d(np.arange(train.n_users), sampled)
-    if remaining.size:
-        task = SnapshotAssignTask(
-            theta,
-            theta[sampled],
-            snapshots,  # dense array: exercises the pre-refactor snapshot path
-            n,
-            lambda users: model.unit_scores_batch(users, n),
-            train.user_items_batch,
+    sampled_theta = theta[sampled]
+    for block in iter_user_blocks(remaining.size, None):
+        users = remaining[block]
+        nearest = np.argmin(np.abs(sampled_theta[None, :] - theta[users, None]), axis=1)
+        values = combined_score_matrix(
+            model.unit_scores_batch(users, n),
+            DynamicCoverage.snapshot_scores(snapshots[nearest]),
+            theta[users],
         )
-        blocks = [remaining[block] for block in iter_user_blocks(remaining.size, None)]
-        executor = resolve_executor(None, None)
-        for users, rows in zip(blocks, executor.map_blocks(task, blocks)):
-            out[users] = rows
+        rows, cols = train.user_items_batch(users)
+        mask_pairs(values, rows, cols)
+        out[users] = top_n_matrix(values, n)
     return out
 
 

@@ -32,7 +32,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.parallel.executor import get_executor
+from repro.parallel.executor import Executor
 from repro.pipeline import (
     ComponentSpec,
     DatasetSpec,
@@ -132,14 +132,14 @@ def run_benchmark(
         serial_s, serial = _time(
             lambda: run_simulation(
                 source, config, split=split,
-                executor=get_executor("serial", 1), trace=trace,
+                executor=Executor(1), trace=trace,
             ),
             repeats=repeats,
         )
         threaded_s, threaded = _time(
             lambda: run_simulation(
                 source, config, split=split,
-                executor=get_executor("thread", jobs), trace=trace,
+                executor=Executor(jobs), trace=trace,
             ),
             repeats=repeats,
         )

@@ -48,7 +48,7 @@ BENCHES: dict[str, tuple] = {
     ),
     "parallel_scaling": (
         bench_parallel_scaling,
-        [],
+        ["--scale", "8", "--jobs", "2"],
         ["--scale", "0.1", "--jobs", "2", "--repeats", "1", "--min-speedup", "0"],
     ),
     "scale": (

@@ -81,14 +81,7 @@ from repro.pipeline import (
     GANCSpec,
     ganc_spec,
 )
-from repro.parallel import (
-    Executor,
-    SerialExecutor,
-    ThreadExecutor,
-    ProcessExecutor,
-    get_executor,
-    resolve_executor,
-)
+from repro.parallel import Executor, resolve_executor
 from repro.serving import (
     AsyncRecommendationService,
     RecommendationStore,
@@ -169,10 +162,6 @@ __all__ = [
     "ganc_spec",
     # parallel execution
     "Executor",
-    "SerialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
-    "get_executor",
     "resolve_executor",
     # serving
     "RecommendationStore",

@@ -32,7 +32,6 @@ from typing import Callable, Sequence
 
 from repro.data.io import save_recommendations_csv
 from repro.exceptions import ConfigurationError
-from repro.parallel.executor import EXECUTOR_BACKENDS
 from repro.experiments.ablations import run_ordering_ablation, run_oslg_vs_greedy
 from repro.experiments.datasets import EXPERIMENT_DATASETS
 from repro.experiments.figure1 import run_figure1
@@ -55,6 +54,7 @@ from repro.pipeline import (
     Pipeline,
     PipelineSpec,
 )
+from repro.pipeline.spec import LEGACY_BACKENDS
 from repro.ganc.kde import validate_bandwidth
 from repro.simulate.feedback import FEEDBACK_MODELS
 from repro.simulate.scenarios import SCENARIOS
@@ -177,6 +177,16 @@ def _emit(table: ExperimentTable, output: str | None) -> None:
         print(f"\nwritten to {path}")
 
 
+def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--backend",
+        choices=LEGACY_BACKENDS,
+        default=None,
+        help="accepted for compatibility; has no effect (--jobs alone picks "
+        "the in-order loop or the thread pool)",
+    )
+
+
 def _add_common_arguments(parser: argparse.ArgumentParser, *, with_datasets: bool = True) -> None:
     parser.add_argument(
         "--scale",
@@ -198,15 +208,10 @@ def _add_common_arguments(parser: argparse.ArgumentParser, *, with_datasets: boo
         "--jobs",
         type=_positive_int("--jobs"),
         default=1,
-        help="workers the batched score paths fan user blocks out to "
-        "(1 = serial; results are byte-identical for any value)",
+        help="threads the batched score paths fan user blocks out to "
+        "(1 = in order; results are byte-identical for any value)",
     )
-    parser.add_argument(
-        "--backend",
-        choices=list(EXECUTOR_BACKENDS),
-        default="thread",
-        help="executor backend used when --jobs > 1 (default: thread)",
-    )
+    _add_backend_argument(parser)
     if with_datasets:
         parser.add_argument(
             "--datasets",
@@ -238,7 +243,7 @@ def _cmd_figure3(args: argparse.Namespace) -> int:
     _, table = run_figure3(
         sample_sizes=tuple(args.sample_sizes), bandwidth=args.bandwidth,
         scale=args.scale, seed=args.seed,
-        block_size=args.block_size, n_jobs=args.jobs, backend=args.backend,
+        block_size=args.block_size, n_jobs=args.jobs,
     )
     _emit(table, args.output)
     return 0
@@ -248,7 +253,7 @@ def _cmd_figure4(args: argparse.Namespace) -> int:
     _, table = run_figure4(
         sample_sizes=tuple(args.sample_sizes), bandwidth=args.bandwidth,
         scale=args.scale, seed=args.seed,
-        block_size=args.block_size, n_jobs=args.jobs, backend=args.backend,
+        block_size=args.block_size, n_jobs=args.jobs,
     )
     _emit(table, args.output)
     return 0
@@ -263,7 +268,6 @@ def _cmd_figure5(args: argparse.Namespace) -> int:
         seed=args.seed,
         block_size=args.block_size,
         n_jobs=args.jobs,
-        backend=args.backend,
     )
     _emit(table, args.output)
     return 0
@@ -272,7 +276,7 @@ def _cmd_figure5(args: argparse.Namespace) -> int:
 def _cmd_table4(args: argparse.Namespace) -> int:
     _, table = run_table4(
         datasets=args.datasets, scale=args.scale, sample_size=args.sample_size,
-        seed=args.seed, block_size=args.block_size, n_jobs=args.jobs, backend=args.backend,
+        seed=args.seed, block_size=args.block_size, n_jobs=args.jobs,
     )
     _emit(table, args.output)
     return 0
@@ -281,7 +285,7 @@ def _cmd_table4(args: argparse.Namespace) -> int:
 def _cmd_figure6(args: argparse.Namespace) -> int:
     _, table = run_figure6(
         datasets=args.datasets, scale=args.scale, sample_size=args.sample_size,
-        seed=args.seed, block_size=args.block_size, n_jobs=args.jobs, backend=args.backend,
+        seed=args.seed, block_size=args.block_size, n_jobs=args.jobs,
     )
     _emit(table, args.output)
     return 0
@@ -296,7 +300,7 @@ def _cmd_table5(args: argparse.Namespace) -> int:
 def _cmd_figure7_8(args: argparse.Namespace) -> int:
     _, table = run_figure7_8(
         datasets=tuple(args.datasets or ("ml100k", "ml1m")), scale=args.scale,
-        seed=args.seed, block_size=args.block_size, n_jobs=args.jobs, backend=args.backend,
+        seed=args.seed, block_size=args.block_size, n_jobs=args.jobs,
     )
     _emit(table, args.output)
     return 0
@@ -305,7 +309,7 @@ def _cmd_figure7_8(args: argparse.Namespace) -> int:
 def _cmd_ablation_oslg(args: argparse.Namespace) -> int:
     _, table = run_oslg_vs_greedy(
         dataset_key=args.dataset, scale=args.scale, seed=args.seed,
-        block_size=args.block_size, n_jobs=args.jobs, backend=args.backend,
+        block_size=args.block_size, n_jobs=args.jobs,
     )
     _emit(table, args.output)
     return 0
@@ -314,7 +318,7 @@ def _cmd_ablation_oslg(args: argparse.Namespace) -> int:
 def _cmd_ablation_ordering(args: argparse.Namespace) -> int:
     _, table = run_ordering_ablation(
         dataset_key=args.dataset, scale=args.scale, seed=args.seed,
-        block_size=args.block_size, n_jobs=args.jobs, backend=args.backend,
+        block_size=args.block_size, n_jobs=args.jobs,
     )
     _emit(table, args.output)
     return 0
@@ -352,7 +356,7 @@ def _spec_from_recommend_args(args: argparse.Namespace) -> PipelineSpec:
             block_size=args.block_size,
         ),
         evaluation=EvaluationSpec(n=args.n, block_size=args.block_size),
-        execution=ExecutionSpec(backend=args.backend, n_jobs=args.jobs),
+        execution=ExecutionSpec(n_jobs=args.jobs),
         seed=args.seed,
     )
 
@@ -413,16 +417,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         pipeline = Pipeline.load(args.load_pipeline)
     else:
         pipeline = Pipeline.from_json_file(args.config)
-    # --jobs/--backend override the spec's execution section: execution is
+    # --jobs overrides the spec's execution section: execution is
     # mechanism, not modelling, so overriding it never changes results.
-    if args.jobs is not None or args.backend is not None:
-        execution = pipeline.spec.execution
-        pipeline.set_execution(
-            ExecutionSpec(
-                backend=args.backend or execution.backend,
-                n_jobs=args.jobs if args.jobs is not None else execution.n_jobs,
-            )
-        )
+    if args.jobs is not None:
+        pipeline.set_execution(ExecutionSpec(n_jobs=args.jobs))
     # --sample-size/--bandwidth/--theta-order override the ganc section:
     # these are optimizer knobs, applied without refitting any component.
     if (
@@ -476,7 +474,6 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         max_users=args.max_users,
         block_size=args.block_size,
         n_jobs=args.jobs,
-        backend=args.backend,
     )
     from repro.serving import load_manifest
 
@@ -500,7 +497,6 @@ def _cmd_compile_update(args: argparse.Namespace) -> int:
             args.delta,
             block_size=args.block_size,
             n_jobs=args.jobs,
-            backend=args.backend,
         )
         print(
             f"ingested {args.delta} ({refit_report.kind} refit) into {args.pipeline}"
@@ -511,7 +507,6 @@ def _cmd_compile_update(args: argparse.Namespace) -> int:
             args.artifact,
             block_size=args.block_size,
             n_jobs=args.jobs,
-            backend=args.backend,
         )
     print(
         f"updated artifact {report.artifact_dir} to revision {report.revision}: "
@@ -560,7 +555,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     """Replay a traffic scenario against a source and report windowed drift."""
-    from repro.parallel.executor import get_executor
+    from repro.parallel.executor import Executor
     from repro.simulate import (
         SimulationConfig,
         create_source,
@@ -592,7 +587,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         from repro.pipeline.persistence import load_split_npz
 
         split = load_split_npz(Path(args.pipeline) / "split.npz")
-    executor = get_executor(args.backend, args.jobs)
+    executor = Executor(args.jobs)
     try:
         result = run_simulation(source, config, split=split, executor=executor)
     finally:
@@ -750,10 +745,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=_positive_int("--jobs"), default=None,
         help="override the spec's execution.n_jobs (results are unchanged)",
     )
-    run.add_argument(
-        "--backend", choices=list(EXECUTOR_BACKENDS), default=None,
-        help="override the spec's execution.backend",
-    )
+    _add_backend_argument(run)
     run.add_argument(
         "--sample-size", type=_positive_int("--sample-size"), default=None,
         help="override the spec's ganc.sample_size (OSLG sequential sample)",
@@ -805,12 +797,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compile_cmd.add_argument(
         "--jobs", type=_positive_int("--jobs"), default=None,
-        help="workers the compile pass fans user blocks out to",
+        help="threads the compile pass fans user blocks out to",
     )
-    compile_cmd.add_argument(
-        "--backend", choices=list(EXECUTOR_BACKENDS), default=None,
-        help="executor backend for the compile pass",
-    )
+    _add_backend_argument(compile_cmd)
     compile_cmd.add_argument(
         "--update", action="store_true",
         help="delta-recompile an existing artifact in place: recompute only "
@@ -950,12 +939,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate_cmd.add_argument(
         "--jobs", type=_positive_int("--jobs"), default=1,
-        help="workers shards fan out to (results are byte-identical for any value)",
+        help="threads shards fan out to (results are byte-identical for any value)",
     )
-    simulate_cmd.add_argument(
-        "--backend", choices=list(EXECUTOR_BACKENDS), default="thread",
-        help="executor backend used when --jobs > 1 (default: thread)",
-    )
+    _add_backend_argument(simulate_cmd)
     simulate_cmd.add_argument(
         "--out", type=str, default=None,
         help="write the canonical JSON run report to this file",

@@ -162,9 +162,7 @@ class DeltaSnapshots:
 
     by replaying the deltas through a :class:`CoverageState`.  Every
     reconstructed value is computed with the same expressions as the dense
-    path, so both forms are bit-identical to the pre-refactor arrays.  A log
-    pickles at O(|I| + S·N), which is what the process-backend snapshot
-    tasks ship to workers.
+    path, so both forms are bit-identical to the pre-refactor arrays.
     """
 
     __slots__ = ("_base", "_deltas")

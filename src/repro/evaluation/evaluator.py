@@ -56,12 +56,11 @@ class Evaluator:
         uses :data:`repro.utils.topn.DEFAULT_BLOCK_SIZE`); whole-table runs
         therefore go through the batched ``predict_matrix`` path while peak
         memory stays bounded.
-    n_jobs, backend, executor:
+    n_jobs, executor:
         Worker fan-out of the score blocks when generating top-N sets: an
         explicit :class:`~repro.parallel.Executor` wins, otherwise
-        ``n_jobs`` workers of ``backend`` (default ``thread``) are used, and
-        ``n_jobs=1`` stays serial.  Metric outputs are byte-identical for
-        every setting.
+        ``n_jobs`` threads are used, and ``n_jobs=1`` runs in order in the
+        caller.  Metric outputs are byte-identical for every setting.
     """
 
     split: TrainTestSplit
@@ -71,7 +70,6 @@ class Evaluator:
     protocol: RankingProtocol = field(default_factory=AllUnratedItemsProtocol)
     block_size: int | None = None
     n_jobs: int = 1
-    backend: str = "thread"
     executor: Executor | None = field(default=None, repr=False)
     _popularity: PopularityStats | None = field(default=None, repr=False)
 
@@ -80,10 +78,10 @@ class Evaluator:
             raise EvaluationError(f"n must be >= 1, got {self.n}")
         if self.block_size is not None and self.block_size < 1:
             raise EvaluationError(f"block_size must be >= 1, got {self.block_size}")
-        self._resolve_executor()  # validates n_jobs/backend eagerly
+        self._resolve_executor()  # validates n_jobs eagerly
 
     def _resolve_executor(self) -> Executor:
-        return resolve_executor(self.executor, self.n_jobs, self.backend)
+        return resolve_executor(self.executor, self.n_jobs)
 
     @property
     def train(self) -> RatingDataset:

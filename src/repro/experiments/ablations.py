@@ -43,11 +43,10 @@ def run_oslg_vs_greedy(
     seed: SeedLike = 0,
     block_size: int | None = None,
     n_jobs: int = 1,
-    backend: str = "thread",
 ) -> tuple[list[AblationRow], ExperimentTable]:
     """Compare OSLG at several sample sizes against the exact sequential pass."""
     _, split = load_experiment_split(dataset_key, scale=scale, seed=seed)
-    evaluator = Evaluator(split, n=n, block_size=block_size, n_jobs=n_jobs, backend=backend)
+    evaluator = Evaluator(split, n=n, block_size=block_size, n_jobs=n_jobs)
     theta = GeneralizedPreference().estimate(split.train)
     arec = build_accuracy_recommender(arec_name, seed=seed, scale_hint=scale)
     arec.fit(split.train)
@@ -63,7 +62,7 @@ def run_oslg_vs_greedy(
         return ganc_spec(
             dataset=dataset_key, arec=arec_name, theta="thetaG", coverage="dyn",
             n=n, sample_size=sample_size, optimizer=optimizer, scale=scale,
-            seed=seed, block_size=block_size, n_jobs=n_jobs, backend=backend,
+            seed=seed, block_size=block_size, n_jobs=n_jobs,
         )
 
     configurations = [("LocallyGreedy (exact)", spec_for(split.train.n_users, "locally_greedy"))]
@@ -93,11 +92,10 @@ def run_ordering_ablation(
     seed: SeedLike = 0,
     block_size: int | None = None,
     n_jobs: int = 1,
-    backend: str = "thread",
 ) -> tuple[list[AblationRow], ExperimentTable]:
     """Compare increasing / arbitrary / decreasing θ orderings of the sequential pass."""
     _, split = load_experiment_split(dataset_key, scale=scale, seed=seed)
-    evaluator = Evaluator(split, n=n, block_size=block_size, n_jobs=n_jobs, backend=backend)
+    evaluator = Evaluator(split, n=n, block_size=block_size, n_jobs=n_jobs)
     theta = GeneralizedPreference().estimate(split.train)
     arec = build_accuracy_recommender(arec_name, seed=seed, scale_hint=scale)
     arec.fit(split.train)
@@ -112,7 +110,7 @@ def run_ordering_ablation(
             dataset=dataset_key, arec=arec_name, theta="thetaG", coverage="dyn",
             n=n, sample_size=split.train.n_users, optimizer="locally_greedy",
             theta_order=ordering, scale=scale, seed=seed, block_size=block_size,
-            n_jobs=n_jobs, backend=backend,
+            n_jobs=n_jobs,
         )
         pipeline = Pipeline(spec, recommender=arec, preference=theta).fit(split)
         started = time.perf_counter()

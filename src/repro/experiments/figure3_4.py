@@ -44,7 +44,6 @@ def run_sample_size_sweep(
     seed: SeedLike = 0,
     block_size: int | None = None,
     n_jobs: int = 1,
-    backend: str = "thread",
 ) -> tuple[list[SampleSizePoint], ExperimentTable]:
     """Sweep the OSLG sample size for GANC(ARec, θG, Dyn) on one dataset.
 
@@ -52,7 +51,7 @@ def run_sample_size_sweep(
     scaled-down) surrogate dataset, preserving the sweep's shape.
     """
     _, split = load_experiment_split(dataset_key, scale=scale, seed=seed)
-    evaluator = Evaluator(split, n=n, block_size=block_size, n_jobs=n_jobs, backend=backend)
+    evaluator = Evaluator(split, n=n, block_size=block_size, n_jobs=n_jobs)
     theta = GeneralizedPreference().estimate(split.train)
 
     points: list[SampleSizePoint] = []
@@ -70,7 +69,6 @@ def run_sample_size_sweep(
                 dataset=dataset_key, arec=arec_name, theta="thetaG", coverage="dyn",
                 n=n, sample_size=sample_size, bandwidth=bandwidth, optimizer="oslg",
                 scale=scale, seed=seed, block_size=block_size, n_jobs=n_jobs,
-                backend=backend,
             )
             pipeline = Pipeline(spec, recommender=arec, preference=theta).fit(split)
             run = evaluator.evaluate_recommendations(
@@ -96,7 +94,6 @@ def run_figure3(
     seed: SeedLike = 0,
     block_size: int | None = None,
     n_jobs: int = 1,
-    backend: str = "thread",
 ) -> tuple[list[SampleSizePoint], ExperimentTable]:
     """Figure 3: the sweep on the ML-1M surrogate."""
     return run_sample_size_sweep(
@@ -108,7 +105,6 @@ def run_figure3(
         seed=seed,
         block_size=block_size,
         n_jobs=n_jobs,
-        backend=backend,
     )
 
 
@@ -121,7 +117,6 @@ def run_figure4(
     seed: SeedLike = 0,
     block_size: int | None = None,
     n_jobs: int = 1,
-    backend: str = "thread",
 ) -> tuple[list[SampleSizePoint], ExperimentTable]:
     """Figure 4: the sweep on the MT-200K surrogate."""
     return run_sample_size_sweep(
@@ -133,5 +128,4 @@ def run_figure4(
         seed=seed,
         block_size=block_size,
         n_jobs=n_jobs,
-        backend=backend,
     )

@@ -74,7 +74,6 @@ def run_figure5(
     seed: SeedLike = 0,
     block_size: int | None = None,
     n_jobs: int = 1,
-    backend: str = "thread",
 ) -> tuple[list[Figure5Cell], ExperimentTable]:
     """Regenerate the Figure 5 panels (as rows of a long-format table)."""
     _, split = load_experiment_split(dataset_key, scale=scale, seed=seed)
@@ -98,7 +97,7 @@ def run_figure5(
         arec.fit(split.train)
         for n in n_values:
             evaluator = Evaluator(
-                split, n=int(n), block_size=block_size, n_jobs=n_jobs, backend=backend
+                split, n=int(n), block_size=block_size, n_jobs=n_jobs
             )
             # Reference row: the accuracy recommender on its own.
             reference = evaluator.evaluate_recommender(arec, algorithm=arec_name, fit=False)
@@ -118,7 +117,7 @@ def run_figure5(
                     dataset=dataset_key, arec=arec_name, theta=theta_name,
                     coverage="dyn", n=int(n), sample_size=sample_size,
                     optimizer="oslg", scale=scale, seed=seed, block_size=block_size,
-                    n_jobs=n_jobs, backend=backend,
+                    n_jobs=n_jobs,
                 )
                 pipeline = Pipeline(
                     spec, recommender=arec, preference=thetas[theta_name]

@@ -66,12 +66,11 @@ def run_figure6_for_dataset(
     baselines: Sequence[str] = FIGURE6_BASELINES,
     block_size: int | None = None,
     n_jobs: int = 1,
-    backend: str = "thread",
 ) -> list[Figure6Point]:
     """Evaluate every Figure 6 algorithm on one dataset."""
     spec = EXPERIMENT_DATASETS[dataset_key]
     _, split = load_experiment_split(dataset_key, scale=scale, seed=seed)
-    evaluator = Evaluator(split, n=n, block_size=block_size, n_jobs=n_jobs, backend=backend)
+    evaluator = Evaluator(split, n=n, block_size=block_size, n_jobs=n_jobs)
     points: list[Figure6Point] = []
 
     # Standard top-N baselines.
@@ -98,7 +97,7 @@ def run_figure6_for_dataset(
             dataset=dataset_key, arec=arec_name, theta="thetaG",
             coverage=coverage_name, n=n, sample_size=sample_size,
             optimizer="auto", scale=scale, seed=seed, block_size=block_size,
-            n_jobs=n_jobs, backend=backend,
+            n_jobs=n_jobs,
         )
         pipeline = Pipeline(pipeline_spec, recommender=arec, preference=theta).fit(split)
         label = f"GANC({arec_name}, thetaG, {coverage_label})"
@@ -117,7 +116,6 @@ def run_figure6(
     baselines: Sequence[str] = FIGURE6_BASELINES,
     block_size: int | None = None,
     n_jobs: int = 1,
-    backend: str = "thread",
 ) -> tuple[list[Figure6Point], ExperimentTable]:
     """Regenerate the Figure 6 scatter data across datasets."""
     keys = list(datasets) if datasets is not None else list(EXPERIMENT_DATASETS)
@@ -129,7 +127,7 @@ def run_figure6(
     for key in keys:
         dataset_points = run_figure6_for_dataset(
             key, n=n, scale=scale, sample_size=sample_size, seed=seed,
-            baselines=baselines, block_size=block_size, n_jobs=n_jobs, backend=backend,
+            baselines=baselines, block_size=block_size, n_jobs=n_jobs,
         )
         points.extend(dataset_points)
         for point in dataset_points:

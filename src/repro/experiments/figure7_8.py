@@ -54,7 +54,6 @@ def run_protocol_comparison(
     seed: SeedLike = 0,
     block_size: int | None = None,
     n_jobs: int = 1,
-    backend: str = "thread",
 ) -> list[ProtocolPoint]:
     """Evaluate the algorithm panel under both protocols on one dataset."""
     spec = EXPERIMENT_DATASETS[dataset_key]
@@ -70,7 +69,7 @@ def run_protocol_comparison(
         for protocol_name, protocol in protocols.items():
             evaluator = Evaluator(
                 split, n=n, protocol=protocol, block_size=block_size,
-                n_jobs=n_jobs, backend=backend,
+                n_jobs=n_jobs,
             )
             run = evaluator.evaluate_recommender(model, algorithm=name, fit=False)
             points.append(
@@ -93,7 +92,6 @@ def run_figure7_8(
     seed: SeedLike = 0,
     block_size: int | None = None,
     n_jobs: int = 1,
-    backend: str = "thread",
 ) -> tuple[list[ProtocolPoint], ExperimentTable]:
     """Regenerate the Figures 7-8 protocol comparison."""
     points: list[ProtocolPoint] = []
@@ -107,7 +105,7 @@ def run_figure7_8(
     for key in datasets:
         dataset_points = run_protocol_comparison(
             key, algorithms=algorithms, n=n, scale=scale, seed=seed,
-            block_size=block_size, n_jobs=n_jobs, backend=backend,
+            block_size=block_size, n_jobs=n_jobs,
         )
         points.extend(dataset_points)
         for point in dataset_points:

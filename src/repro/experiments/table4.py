@@ -91,12 +91,12 @@ def _ganc(
     base, split, n, seed, *,
     preference: str, sample_size: int,
     dataset_key: str = "ml100k", scale: float = 1.0, block_size: int | None = None,
-    n_jobs: int = 1, backend: str = "thread",
+    n_jobs: int = 1,
 ):
     spec = ganc_spec(
         dataset=dataset_key, arec="rsvd", theta=preference, coverage="dyn",
         n=n, sample_size=sample_size, optimizer="oslg", scale=scale,
-        seed=seed, block_size=block_size, n_jobs=n_jobs, backend=backend,
+        seed=seed, block_size=block_size, n_jobs=n_jobs,
     )
     pipeline = Pipeline(spec, recommender=base).fit(split)
     return pipeline.recommend_all().as_dict()
@@ -110,12 +110,11 @@ def table4_algorithms(
     scale: float = 1.0,
     block_size: int | None = None,
     n_jobs: int = 1,
-    backend: str = "thread",
 ) -> dict[str, AlgorithmBuilder]:
     """The nine Table IV algorithms, keyed by the paper's labels."""
     ganc_kwargs = {
         "dataset_key": dataset_key, "scale": scale, "block_size": block_size,
-        "n_jobs": n_jobs, "backend": backend,
+        "n_jobs": n_jobs,
     }
     return {
         "RSVD": _base_ranking,
@@ -150,12 +149,11 @@ def run_table4_for_dataset(
     algorithms: Sequence[str] | None = None,
     block_size: int | None = None,
     n_jobs: int = 1,
-    backend: str = "thread",
 ) -> list[Table4Row]:
     """Run the Table IV comparison on one dataset and return ranked rows."""
     spec = EXPERIMENT_DATASETS[dataset_key]
     _, split = load_experiment_split(dataset_key, scale=scale, seed=seed)
-    evaluator = Evaluator(split, n=n, block_size=block_size, n_jobs=n_jobs, backend=backend)
+    evaluator = Evaluator(split, n=n, block_size=block_size, n_jobs=n_jobs)
 
     base = build_accuracy_recommender("rsvd", seed=seed, scale_hint=scale)
     base.fit(split.train)
@@ -165,7 +163,7 @@ def run_table4_for_dataset(
     builders = table4_algorithms(
         popularity_floor=popularity_floor, sample_size=sample_size,
         dataset_key=dataset_key, scale=scale, block_size=block_size,
-        n_jobs=n_jobs, backend=backend,
+        n_jobs=n_jobs,
     )
     if algorithms is not None:
         builders = {name: builders[name] for name in algorithms}
@@ -208,7 +206,6 @@ def run_table4(
     algorithms: Sequence[str] | None = None,
     block_size: int | None = None,
     n_jobs: int = 1,
-    backend: str = "thread",
 ) -> tuple[list[Table4Row], ExperimentTable]:
     """Regenerate Table IV across datasets."""
     keys = list(datasets) if datasets is not None else list(EXPERIMENT_DATASETS)
@@ -220,7 +217,7 @@ def run_table4(
     for key in keys:
         rows = run_table4_for_dataset(
             key, n=n, scale=scale, sample_size=sample_size, seed=seed,
-            algorithms=algorithms, block_size=block_size, n_jobs=n_jobs, backend=backend,
+            algorithms=algorithms, block_size=block_size, n_jobs=n_jobs,
         )
         all_rows.extend(rows)
         for row in rows:

@@ -34,8 +34,7 @@ from repro.ganc.kde import validate_bandwidth
 from repro.ganc.locally_greedy import LocallyGreedyOptimizer
 from repro.ganc.oslg import OSLGOptimizer
 from repro.ganc.value_function import UserValueFunction
-from repro.parallel.executor import EXECUTOR_BACKENDS, effective_n_jobs, resolve_executor
-from repro.parallel.handles import DatasetHandle
+from repro.parallel.executor import Executor, effective_n_jobs
 from repro.parallel.tasks import ExclusionPairsProvider, UnitScoresProvider
 from repro.preferences.base import PreferenceModel, PreferenceResult
 from repro.recommenders.base import FittedTopN, Recommender
@@ -77,9 +76,6 @@ class GANCConfig:
         assignment, OSLG snapshot phase) fan their user blocks out to.
         ``1`` (default) runs serially, ``-1`` uses every CPU.  Results are
         byte-identical for any worker count.
-    backend:
-        Executor backend for ``n_jobs > 1``: ``"thread"`` (default) or
-        ``"process"`` (see :mod:`repro.parallel`).
     """
 
     sample_size: int = 500
@@ -89,7 +85,6 @@ class GANCConfig:
     seed: SeedLike = None
     block_size: int | None = None
     n_jobs: int = 1
-    backend: str = "thread"
 
     def __post_init__(self) -> None:
         if self.sample_size < 1:
@@ -102,10 +97,6 @@ class GANCConfig:
                 f"block_size must be >= 1, got {self.block_size}"
             )
         effective_n_jobs(self.n_jobs)  # validates the requested worker count
-        if self.backend not in EXECUTOR_BACKENDS:
-            raise ConfigurationError(
-                f"backend must be one of {list(EXECUTOR_BACKENDS)}, got {self.backend!r}"
-            )
         if self.optimizer not in ("auto", "oslg", "locally_greedy"):
             raise ConfigurationError(
                 f"optimizer must be 'auto', 'oslg' or 'locally_greedy', got {self.optimizer!r}"
@@ -239,14 +230,9 @@ class GANC:
             """Train items of one user (excluded from top-N)."""
             return train.user_items(user)
 
-        # Handle-backed batch providers: identical rows to the closures they
-        # replace, but picklable, so the process backend can ship them.  Both
-        # providers share one dataset handle, so workers rebuild the train
-        # data once rather than once per provider.
-        train_handle = DatasetHandle.capture(train)
-        accuracy_matrix = UnitScoresProvider(self.accuracy, n, train_handle=train_handle)
-        exclusion_pairs = ExclusionPairsProvider(train, handle=train_handle)
-        executor = resolve_executor(None, self.config.n_jobs, self.config.backend)
+        accuracy_matrix = UnitScoresProvider(self.accuracy, n)
+        exclusion_pairs = ExclusionPairsProvider(train)
+        executor = Executor(self.config.n_jobs)
 
         if self.coverage.is_dynamic:
             self.coverage.reset()

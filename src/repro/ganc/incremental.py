@@ -43,8 +43,8 @@ def supports_incremental(coverage: object) -> bool:
     The fast path blends against the live :class:`CoverageState` score
     vector, which is only valid for the stock :class:`DynamicCoverage`
     semantics (user-independent scores, ``np.add.at`` count updates).
-    Subclasses that may override ``scores``/``update`` fall back to the
-    generic per-user loop.
+    Subclasses that may override ``scores``/``update`` run through Locally
+    Greedy's per-user loop; OSLG rejects them.
     """
     return type(coverage) is DynamicCoverage
 

@@ -185,8 +185,8 @@ class LocallyGreedyOptimizer:
         be scored and selected at once: one accuracy block, one (possibly
         broadcast) coverage block, one fancy-indexed exclusion mask and one
         row-wise top-N per ``block_size`` users.  The result matches
-        :meth:`run` exactly (same canonical tie-breaking) on every executor
-        backend.
+        :meth:`run` exactly (same canonical tie-breaking) for any worker
+        count.
 
         Parameters
         ----------
@@ -200,10 +200,7 @@ class LocallyGreedyOptimizer:
             ``(block_row, item)`` exclusion pairs (see
             :meth:`repro.data.dataset.RatingDataset.user_items_batch`).
         executor, n_jobs:
-            Optional worker fan-out of the blocks.  The ``process`` backend
-            requires picklable providers — GANC passes the handle-backed
-            providers of :mod:`repro.parallel.tasks`; plain closures are
-            fine for ``serial``/``thread``.
+            Optional worker fan-out of the blocks.
         """
         if self.coverage.is_dynamic:
             raise ConfigurationError(

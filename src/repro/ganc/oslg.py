@@ -42,7 +42,6 @@ from repro.ganc.locally_greedy import (
     BatchAccuracyProvider,
     BatchExclusionProvider,
     ExclusionProvider,
-    LocallyGreedyOptimizer,
     stacked_accuracy_provider,
     stacked_exclusion_provider,
 )
@@ -66,10 +65,7 @@ class OSLGResult:
         (increasing θ).
     snapshot_log:
         Compact per-step snapshot record (base counts + assignment deltas),
-        aligned with ``sampled_users`` — ``None`` when the run took the
-        generic fallback for a ``DynamicCoverage`` subclass with custom
-        counting semantics, in which case the dense matrix was captured
-        directly.
+        aligned with ``sampled_users``.
     snapshots:
         The dense ``(S, n_items)`` frequency snapshot matrix ``F(θ_u)``,
         reconstructed (and cached) from ``snapshot_log`` on first access —
@@ -82,36 +78,25 @@ class OSLGResult:
         self,
         top_n: FittedTopN,
         sampled_users: np.ndarray,
-        snapshot_log: DeltaSnapshots | None = None,
-        snapshots: np.ndarray | None = None,
+        snapshot_log: DeltaSnapshots,
     ) -> None:
-        if snapshot_log is None and snapshots is None:
-            raise ConfigurationError(
-                "OSLGResult needs a snapshot_log or a dense snapshots matrix"
-            )
         self.top_n = top_n
         self.sampled_users = sampled_users
         self.snapshot_log = snapshot_log
-        self._snapshots = snapshots
+        self._snapshots: np.ndarray | None = None
 
     @property
     def snapshots(self) -> np.ndarray:
         """Dense snapshot matrix, materialized lazily from the delta log."""
         if self._snapshots is None:
-            assert self.snapshot_log is not None
             self._snapshots = self.snapshot_log.dense()
         return self._snapshots
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        steps = (
-            f"{self.snapshot_log.n_steps} step(s)"
-            if self.snapshot_log is not None
-            else f"dense {self._snapshots.shape}"
-        )
         return (
             f"OSLGResult(top_n={self.top_n!r}, "
             f"sampled_users={self.sampled_users.size}, "
-            f"snapshots={steps})"
+            f"snapshots={self.snapshot_log.n_steps} step(s))"
         )
 
 
@@ -122,6 +107,10 @@ class OSLGOptimizer:
     ----------
     coverage:
         A fitted :class:`~repro.coverage.dynamic.DynamicCoverage` instance.
+        Subclasses are rejected: the sequential pass runs on the
+        delta-updated :class:`~repro.coverage.state.CoverageState`, which
+        only reproduces the stock counting semantics (see
+        :func:`~repro.ganc.incremental.supports_incremental`).
     n:
         Top-N size.
     sample_size:
@@ -149,6 +138,11 @@ class OSLGOptimizer:
             raise ConfigurationError(
                 "OSLG requires the dynamic coverage recommender; "
                 f"got {type(coverage).__name__}"
+            )
+        if not supports_incremental(coverage):
+            raise ConfigurationError(
+                f"OSLG supports only the stock DynamicCoverage, got the subclass "
+                f"{type(coverage).__name__}; run it with the locally_greedy optimizer"
             )
         if n < 1:
             raise ConfigurationError(f"n must be >= 1, got {n}")
@@ -180,8 +174,8 @@ class OSLGOptimizer:
         unchanged).  The sequential sampled pass runs on the incremental
         delta-updated engine; the snapshot blocks are mutually independent —
         exactly the parallelism the paper points out — and fan out to
-        ``executor``/``n_jobs`` workers with byte-identical results on every
-        backend.
+        ``executor``/``n_jobs`` workers with byte-identical results for any
+        worker count.
         """
         theta = np.asarray(theta, dtype=np.float64)
         n_users = theta.size
@@ -201,39 +195,17 @@ class OSLGOptimizer:
         out = np.full((n_users, self.n), -1, dtype=np.int64)
 
         # Lines 4-10: sequential pass over the sampled users.
-        log: DeltaSnapshots | None = None
-        dense_snapshots: np.ndarray | None = None
-        if supports_incremental(self.coverage):
-            log = DeltaSnapshots(self.coverage.frequencies)
-            record = log.record
-            assigner = SequentialAssigner(self.coverage, self.n, block_size=block_size)
-            assigner.run(
-                out,
-                sampled,
-                theta,
-                accuracy_matrix,
-                exclusion_pairs,
-                on_assign=lambda _user, items: record(items),
-            )
-        else:
-            # A DynamicCoverage subclass may count assignments however it
-            # likes, so a delta replay cannot stand in for its state —
-            # capture the dense frequency snapshots directly, as the
-            # historical implementation did.
-            dense_snapshots = np.zeros(
-                (sampled.size, self.coverage.n_items), dtype=np.float64
-            )
-            greedy = LocallyGreedyOptimizer(self.coverage, self.n)
-            for position, user in enumerate(sampled):
-                items = greedy.assign_user(
-                    int(user),
-                    float(theta[user]),
-                    accuracy_scores(int(user)),
-                    exclusions(int(user)),
-                )
-                out[user, : items.size] = items
-                self.coverage.update(items)
-                dense_snapshots[position] = self.coverage.frequencies
+        log = DeltaSnapshots(self.coverage.frequencies)
+        record = log.record
+        assigner = SequentialAssigner(self.coverage, self.n, block_size=block_size)
+        assigner.run(
+            out,
+            sampled,
+            theta,
+            accuracy_matrix,
+            exclusion_pairs,
+            on_assign=lambda _user, items: record(items),
+        )
 
         # Lines 11-15: every remaining user reuses the snapshot of the nearest
         # sampled θ; assignments are mutually independent, so whole blocks are
@@ -243,7 +215,7 @@ class OSLGOptimizer:
             task = SnapshotAssignTask(
                 theta,
                 theta[sampled],
-                log if log is not None else dense_snapshots,
+                log,
                 self.n,
                 accuracy_matrix,
                 exclusion_pairs,
@@ -254,10 +226,7 @@ class OSLGOptimizer:
                 out[users] = rows
 
         return OSLGResult(
-            top_n=FittedTopN(items=out),
-            sampled_users=sampled,
-            snapshot_log=log,
-            snapshots=dense_snapshots,
+            top_n=FittedTopN(items=out), sampled_users=sampled, snapshot_log=log
         )
 
     # ------------------------------------------------------------------ #

@@ -1,4 +1,4 @@
-"""Sharded parallel execution backend.
+"""Sharded parallel execution.
 
 The user axis of the GANC framework is embarrassingly parallel: accuracy
 scoring, coverage snapshots and the locally-greedy per-user assignment are
@@ -7,42 +7,27 @@ path in the library can fan its user blocks out to workers.  This package
 supplies the machinery:
 
 :mod:`repro.parallel.executor`
-    The :class:`Executor` abstraction with ``serial``, ``thread`` and
-    ``process`` backends.  All backends consume the same
-    ``(task, blocks)`` contract and return block results in block order, so
-    the scored output is byte-identical to the serial loop for every backend
+    The :class:`Executor`: ``n_jobs == 1`` runs blocks in order in the
+    caller, ``n_jobs > 1`` on a thread pool.  Both return block results in
+    block order, so the scored output is byte-identical for any worker count
     and any block size.
-:mod:`repro.parallel.handles`
-    Lightweight fitted-state handles built on the pipeline persistence layer
-    (:func:`repro.pipeline.persistence.component_state`): the process backend
-    ships a component's fitted arrays to workers once and rehydrates there
-    without refitting anything.
 :mod:`repro.parallel.tasks`
-    Picklable block tasks and providers used by ``recommend_all``, the
-    locally-greedy independent assignment and the OSLG snapshot phase.
+    The block tasks and providers used by ``recommend_all``, the
+    locally-greedy independent assignment, the OSLG snapshot phase and the
+    artifact compile pass.
 
 Determinism
 -----------
 Block tasks used by the library are RNG-free at serve time (stochastic
 models draw from per-user keyed streams fixed at fit time), which is what
-makes results invariant to backend, ``n_jobs`` *and* block size.  Tasks that
-do need randomness receive per-block generators derived with
+makes results invariant to ``n_jobs`` *and* block size.  Tasks that do need
+randomness receive per-block generators derived with
 ``numpy.random.SeedSequence.spawn`` (:func:`repro.utils.rng.spawn_seed_sequences`)
-in the parent process, so their streams depend only on the root seed and the
-block position — never on worker scheduling.
+before any block runs, so their streams depend only on the root seed and
+the block position — never on thread scheduling.
 """
 
-from repro.parallel.executor import (
-    EXECUTOR_BACKENDS,
-    Executor,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    effective_n_jobs,
-    get_executor,
-    resolve_executor,
-)
-from repro.parallel.handles import ComponentHandle, DatasetHandle
+from repro.parallel.executor import Executor, effective_n_jobs, resolve_executor
 from repro.parallel.tasks import (
     ExclusionPairsProvider,
     IndependentAssignTask,
@@ -53,16 +38,9 @@ from repro.parallel.tasks import (
 )
 
 __all__ = [
-    "EXECUTOR_BACKENDS",
     "Executor",
-    "SerialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
-    "get_executor",
     "resolve_executor",
     "effective_n_jobs",
-    "ComponentHandle",
-    "DatasetHandle",
     "RecommendBlockTask",
     "TopNScoresTask",
     "UnitScoresProvider",

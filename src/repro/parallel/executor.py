@@ -1,51 +1,36 @@
-"""The :class:`Executor` abstraction: one fan-out contract, three backends.
+"""The :class:`Executor`: one fan-out contract for every batched path.
 
 Every batched path in the library reduces to the same shape of work: shard
 the user axis into contiguous blocks (:func:`repro.utils.topn.iter_user_blocks`)
 and apply a *block task* — a callable mapping a block's user indices to that
-block's result rows — to each block.  An :class:`Executor` owns how those
-applications run:
+block's result rows — to each block.  An :class:`Executor` runs those
+applications, and ``n_jobs`` alone decides how:
 
-``serial``
-    Plain in-order loop in the calling process.  The reference backend; the
-    other two are required (and tested) to reproduce its output byte for
-    byte.
-``thread``
+``n_jobs == 1`` (or a single block)
+    A plain in-order loop in the calling thread.
+``n_jobs > 1``
     A :class:`concurrent.futures.ThreadPoolExecutor` fan-out.  The heavy
     lifting inside block tasks is numpy matrix work that releases the GIL,
     so threads scale on multi-core machines while sharing the fitted models
     with zero serialization cost.
-``process``
-    A :class:`concurrent.futures.ProcessPoolExecutor` fan-out.  The task is
-    shipped to each worker once (via the pool initializer); tasks that hold
-    fitted models serialize themselves as lightweight state handles
-    (:mod:`repro.parallel.handles`) and rehydrate in the worker without
-    refitting.  Worth it when per-block compute dominates and the GIL or
-    BLAS thread contention limits the thread backend.
 
 Results are always returned in block order, so callers can scatter them into
-the output array exactly as the serial loop would have.  Tasks that declare
+the output array exactly as the in-order loop would have.  Tasks that declare
 ``needs_rng = True`` are called as ``task(users, rng)`` with a per-block
-generator derived via ``SeedSequence.spawn`` in the *parent* process, which
-makes their streams independent of worker scheduling.
+generator derived via ``SeedSequence.spawn`` before any block runs, which
+makes their streams independent of thread scheduling.
 """
 
 from __future__ import annotations
 
 import os
-from abc import ABC, abstractmethod
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Protocol, Sequence, runtime_checkable
-
-import multiprocessing
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.utils.rng import spawn_seed_sequences
-
-#: Names accepted by :func:`get_executor` / spec ``execution.backend``.
-EXECUTOR_BACKENDS = ("serial", "thread", "process")
 
 
 @runtime_checkable
@@ -59,43 +44,25 @@ class BlockTask(Protocol):
 def effective_n_jobs(n_jobs: int) -> int:
     """Resolve an ``n_jobs`` request to a concrete worker count.
 
-    ``-1`` means one worker per available CPU; any other value must be a
-    positive integer.
+    ``-1`` means one worker per CPU this process may run on (its affinity
+    mask where the OS has one, so a pinned process is not oversubscribed);
+    any other value must be a positive integer.
     """
     if n_jobs == -1:
+        if hasattr(os, "sched_getaffinity"):
+            return max(1, len(os.sched_getaffinity(0)))
         return max(1, os.cpu_count() or 1)
     if not isinstance(n_jobs, (int, np.integer)) or isinstance(n_jobs, bool) or n_jobs < 1:
         raise ConfigurationError(f"n_jobs must be a positive integer or -1, got {n_jobs!r}")
     return int(n_jobs)
 
 
-class Executor(ABC):
+class Executor:
     """Runs block tasks over user blocks and returns results in block order."""
-
-    #: backend name, one of :data:`EXECUTOR_BACKENDS`
-    backend: str = "abstract"
 
     def __init__(self, n_jobs: int = 1) -> None:
         self.n_jobs = effective_n_jobs(n_jobs)
 
-    @property
-    def is_serial(self) -> bool:
-        """Whether this executor runs blocks in the calling thread only."""
-        return self.backend == "serial" or self.n_jobs == 1
-
-    def _calls(
-        self, task: BlockTask, blocks: Sequence[np.ndarray], seed: int | None
-    ) -> list[Callable[[], Any]]:
-        """Bind each block (and, if requested, its derived rng) to the task."""
-        if seed is None and not getattr(task, "needs_rng", False):
-            return [lambda users=users: task(users) for users in blocks]
-        sequences = spawn_seed_sequences(seed, len(blocks))
-        return [
-            lambda users=users, seq=seq: task(users, np.random.default_rng(seq))
-            for users, seq in zip(blocks, sequences)
-        ]
-
-    @abstractmethod
     def map_blocks(
         self,
         task: BlockTask,
@@ -107,156 +74,31 @@ class Executor(ABC):
 
         ``seed`` (or a task with ``needs_rng = True``) switches to the seeded
         calling convention ``task(users, rng)`` with per-block generators
-        derived in the parent via ``SeedSequence.spawn``.
+        derived via ``SeedSequence.spawn``.
         """
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(n_jobs={self.n_jobs})"
-
-
-class SerialExecutor(Executor):
-    """In-order execution in the calling process (the reference backend)."""
-
-    backend = "serial"
-
-    def __init__(self, n_jobs: int = 1) -> None:
-        super().__init__(1)
-        del n_jobs  # serial always runs one block at a time
-
-    def map_blocks(
-        self,
-        task: BlockTask,
-        blocks: Sequence[np.ndarray],
-        *,
-        seed: int | None = None,
-    ) -> list[Any]:
-        """Run every block in order in the calling thread."""
-        return [call() for call in self._calls(task, blocks, seed)]
-
-
-class ThreadExecutor(Executor):
-    """Thread-pool fan-out; fitted models are shared, numpy releases the GIL."""
-
-    backend = "thread"
-
-    def map_blocks(
-        self,
-        task: BlockTask,
-        blocks: Sequence[np.ndarray],
-        *,
-        seed: int | None = None,
-    ) -> list[Any]:
-        """Fan blocks out to a thread pool, preserving block order."""
-        calls = self._calls(task, blocks, seed)
+        calls: list[Callable[[], Any]]
+        if seed is None and not getattr(task, "needs_rng", False):
+            calls = [lambda users=users: task(users) for users in blocks]
+        else:
+            sequences = spawn_seed_sequences(seed, len(blocks))
+            calls = [
+                lambda users=users, seq=seq: task(users, np.random.default_rng(seq))
+                for users, seq in zip(blocks, sequences)
+            ]
         if len(calls) <= 1 or self.n_jobs == 1:
             return [call() for call in calls]
         with ThreadPoolExecutor(max_workers=self.n_jobs) as pool:
             return list(pool.map(lambda call: call(), calls))
 
-
-# --------------------------------------------------------------------------- #
-# Process backend
-# --------------------------------------------------------------------------- #
-#: Per-worker slot for the task shipped through the pool initializer; the
-#: task is deserialized (rehydrating any state handles) once per worker, not
-#: once per block.
-_WORKER_TASK: BlockTask | None = None
+    def __repr__(self) -> str:
+        return f"Executor(n_jobs={self.n_jobs})"
 
 
-def _initialize_worker(task: BlockTask) -> None:
-    global _WORKER_TASK
-    _WORKER_TASK = task
+def resolve_executor(executor: Executor | None = None, n_jobs: int | None = None) -> Executor:
+    """Normalize the ``(executor, n_jobs)`` option pair.
 
-
-def _run_block(payload: tuple[np.ndarray, Any]) -> Any:
-    users, seed_sequence = payload
-    assert _WORKER_TASK is not None, "worker used before initialization"
-    if seed_sequence is None:
-        return _WORKER_TASK(users)
-    return _WORKER_TASK(users, np.random.default_rng(seed_sequence))
-
-
-class ProcessExecutor(Executor):
-    """Process-pool fan-out with initializer-shipped, handle-rehydrated tasks.
-
-    Parameters
-    ----------
-    n_jobs:
-        Worker count (``-1`` = one per CPU).
-    start_method:
-        ``multiprocessing`` start method (``"fork"``, ``"spawn"``,
-        ``"forkserver"``) or ``None`` for the platform default.  ``spawn``
-        exercises the full serialize-and-rehydrate path on every platform;
-        ``fork`` additionally shares the parent's memory copy-on-write.
-    """
-
-    backend = "process"
-
-    def __init__(self, n_jobs: int = 1, *, start_method: str | None = None) -> None:
-        super().__init__(n_jobs)
-        if start_method is not None and start_method not in multiprocessing.get_all_start_methods():
-            raise ConfigurationError(
-                f"unknown start method {start_method!r}; available: "
-                f"{multiprocessing.get_all_start_methods()}"
-            )
-        self.start_method = start_method
-
-    def map_blocks(
-        self,
-        task: BlockTask,
-        blocks: Sequence[np.ndarray],
-        *,
-        seed: int | None = None,
-    ) -> list[Any]:
-        """Ship the task to workers once, fan blocks out, keep block order."""
-        if len(blocks) <= 1 or self.n_jobs == 1:
-            return SerialExecutor().map_blocks(task, blocks, seed=seed)
-        if seed is None and not getattr(task, "needs_rng", False):
-            payloads = [(users, None) for users in blocks]
-        else:
-            sequences = spawn_seed_sequences(seed, len(blocks))
-            payloads = list(zip(blocks, sequences))
-        context = multiprocessing.get_context(self.start_method)
-        workers = min(self.n_jobs, len(blocks))
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=context,
-            initializer=_initialize_worker,
-            initargs=(task,),
-        ) as pool:
-            return list(pool.map(_run_block, payloads))
-
-
-_BACKENDS: dict[str, type[Executor]] = {
-    "serial": SerialExecutor,
-    "thread": ThreadExecutor,
-    "process": ProcessExecutor,
-}
-
-
-def get_executor(backend: str = "serial", n_jobs: int = 1, **kwargs: Any) -> Executor:
-    """Instantiate an executor by backend name.
-
-    ``kwargs`` are backend-specific (e.g. ``start_method`` for ``process``).
-    """
-    if not isinstance(backend, str) or backend.strip().lower() not in _BACKENDS:
-        raise ConfigurationError(
-            f"unknown executor backend {backend!r}; available: {list(EXECUTOR_BACKENDS)}"
-        )
-    return _BACKENDS[backend.strip().lower()](n_jobs, **kwargs)
-
-
-def resolve_executor(
-    executor: Executor | None = None,
-    n_jobs: int | None = None,
-    backend: str | None = None,
-) -> Executor:
-    """Normalize the ``(executor, n_jobs, backend)`` option triple.
-
-    An explicit :class:`Executor` instance wins.  Otherwise ``n_jobs`` in
-    ``(None, 1)`` means serial, and anything larger builds the requested
-    backend (default ``thread`` — it shares fitted state for free and the
-    block work is GIL-releasing numpy).
+    An explicit :class:`Executor` instance wins; otherwise ``n_jobs``
+    (``None`` meaning 1) builds one.
     """
     if executor is not None:
         if not isinstance(executor, Executor):
@@ -264,10 +106,4 @@ def resolve_executor(
                 f"executor must be a repro.parallel.Executor, got {type(executor).__name__}"
             )
         return executor
-    if n_jobs is None or n_jobs == 1:
-        if backend is not None and backend not in _BACKENDS:
-            raise ConfigurationError(
-                f"unknown executor backend {backend!r}; available: {list(EXECUTOR_BACKENDS)}"
-            )
-        return SerialExecutor()
-    return get_executor(backend or "thread", n_jobs)
+    return Executor(1 if n_jobs is None else n_jobs)

@@ -1,17 +1,11 @@
-"""Picklable block tasks and providers behind the sharded score paths.
+"""Block tasks and providers behind the sharded score paths.
 
-Each task realizes exactly the per-block arithmetic of the serial loop it
+Each task realizes exactly the per-block arithmetic of the in-order loop it
 replaces — the same :func:`~repro.ganc.value_function.combined_score_matrix`,
 :func:`~repro.utils.topn.mask_pairs` and
 :func:`~repro.utils.topn.top_n_matrix` calls on bit-identical inputs — which
-is what makes every backend's output byte-identical to serial.
-
-Tasks hold *live* component references in the constructing process (serial
-and thread backends pay zero serialization).  When the process backend
-pickles a task, ``__getstate__`` swaps each live component for a
-:class:`~repro.parallel.handles.ComponentHandle`; in the worker the first
-block rehydrates the component (cached per process) and subsequent blocks
-reuse it.
+is what makes the output byte-identical for any ``n_jobs``.  Tasks hold live
+component references; the thread pool shares them with zero serialization.
 """
 
 from __future__ import annotations
@@ -20,7 +14,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.parallel.handles import ComponentHandle, DatasetHandle
 from repro.utils.topn import mask_pairs, top_n_matrix
 
 
@@ -33,119 +26,59 @@ def _combined_score_matrix(*args: Any) -> np.ndarray:
     return combined_score_matrix(*args)
 
 
-class _HandleSwapped:
-    """Base for tasks/providers that ship one component as a state handle.
-
-    Subclasses store the live component under ``self._live`` and everything
-    else in picklable attributes; pickling replaces ``_live`` with a captured
-    handle and unpickling rehydrates lazily on first use.  ``train_handle``
-    lets several tasks of one fan-out share a single
-    :class:`~repro.parallel.handles.DatasetHandle`, so workers rebuild the
-    train dataset once instead of once per task.
-    """
-
-    def __init__(self, live: Any, *, train_handle: DatasetHandle | None = None) -> None:
-        self._live: Any | None = live
-        self._handle: ComponentHandle | None = None
-        self._train_handle = train_handle
-
-    def _component(self) -> Any:
-        if self._live is None:
-            assert self._handle is not None
-            self._live = self._handle.restore()
-        return self._live
-
-    def __getstate__(self) -> dict[str, Any]:
-        if self._handle is None and self._live is not None:
-            # Capture once; repeated fan-outs of the same task reuse the
-            # handle token, so workers also rehydrate at most once.
-            self._handle = ComponentHandle.capture(self._live, train=self._train_handle)
-        state = dict(self.__dict__)
-        state["_live"] = None
-        return state
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.__dict__.update(state)
-
-
-class RecommendBlockTask(_HandleSwapped):
+class RecommendBlockTask:
     """Fan-out unit of :meth:`Recommender.recommend_all`: one top-N block."""
 
     def __init__(self, recommender: Any, n: int) -> None:
-        super().__init__(recommender)
+        self.recommender = recommender
         self.n = int(n)
 
     def __call__(self, users: np.ndarray) -> np.ndarray:
-        return self._component().recommend_block(users, self.n)
+        return self.recommender.recommend_block(users, self.n)
 
 
-class TopNScoresTask(_HandleSwapped):
+class TopNScoresTask:
     """Fan-out unit of artifact compilation (:mod:`repro.serving`).
 
     Given the already-selected top-N item rows of every user, gathers the
     recommender's raw :meth:`predict_matrix` scores of exactly those items,
-    one block of users at a time.  ``-1`` padding gathers to ``NaN``.  The
-    item table is a small ``(n_users, n)`` int64 array and pickles as-is;
-    the recommender ships as a state handle like every other task.
+    one block of users at a time.  ``-1`` padding gathers to ``NaN``.
     """
 
     def __init__(self, recommender: Any, items: np.ndarray) -> None:
-        super().__init__(recommender)
+        self.recommender = recommender
         self.items = np.asarray(items, dtype=np.int64)
 
     def __call__(self, users: np.ndarray) -> np.ndarray:
         block_items = self.items[users]
-        matrix = self._component().predict_matrix(users)
+        matrix = self.recommender.predict_matrix(users)
         valid = block_items >= 0
         gathered = np.take_along_axis(matrix, np.where(valid, block_items, 0), axis=1)
         return np.where(valid, gathered, np.nan)
 
 
-class UnitScoresProvider(_HandleSwapped):
-    """Batched accuracy provider ``users -> unit_scores_batch`` that pickles.
+class UnitScoresProvider:
+    """Batched accuracy provider ``users -> unit_scores_batch``."""
 
-    Drop-in replacement for the closure GANC used to build over its accuracy
-    recommender; identical rows, but shippable to process workers.
-    """
-
-    def __init__(
-        self, recommender: Any, n: int, *, train_handle: DatasetHandle | None = None
-    ) -> None:
-        super().__init__(recommender, train_handle=train_handle)
+    def __init__(self, recommender: Any, n: int) -> None:
+        self.recommender = recommender
         self.n = int(n)
 
     def __call__(self, users: np.ndarray) -> np.ndarray:
-        return self._component().unit_scores_batch(users, self.n)
+        return self.recommender.unit_scores_batch(users, self.n)
 
 
 class ExclusionPairsProvider:
-    """Batched exclusion provider ``users -> (rows, cols)`` that pickles."""
+    """Batched exclusion provider ``users -> (rows, cols)`` of train items."""
 
-    def __init__(self, train: Any, *, handle: DatasetHandle | None = None) -> None:
-        self._train: Any | None = train
-        self._handle: DatasetHandle | None = handle
-
-    def _dataset(self) -> Any:
-        if self._train is None:
-            assert self._handle is not None
-            self._train = self._handle.restore()
-        return self._train
-
-    def __getstate__(self) -> dict[str, Any]:
-        if self._handle is None and self._train is not None:
-            self._handle = DatasetHandle.capture(self._train)
-        state = dict(self.__dict__)
-        state["_train"] = None
-        return state
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.__dict__.update(state)
+    def __init__(self, train: Any) -> None:
+        self.train = train
 
     def __call__(self, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._dataset().user_items_batch(users)
+        return self.train.user_items_batch(users)
 
 
-class IndependentAssignTask(_HandleSwapped):
+class IndependentAssignTask:
     """One blocked step of :meth:`LocallyGreedyOptimizer.run_independent`.
 
     Valid only for stateless coverage: scores a block's combined value matrix
@@ -160,7 +93,7 @@ class IndependentAssignTask(_HandleSwapped):
         accuracy_matrix: Any,
         exclusion_pairs: Any,
     ) -> None:
-        super().__init__(coverage)
+        self.coverage = coverage
         self.theta = np.asarray(theta, dtype=np.float64)
         self.n = int(n)
         self.accuracy_matrix = accuracy_matrix
@@ -169,7 +102,7 @@ class IndependentAssignTask(_HandleSwapped):
     def __call__(self, users: np.ndarray) -> np.ndarray:
         values = _combined_score_matrix(
             self.accuracy_matrix(users),
-            self._component().scores_matrix(users),
+            self.coverage.scores_matrix(users),
             self.theta[users],
         )
         rows, cols = self.exclusion_pairs(users)
@@ -182,14 +115,9 @@ class SnapshotAssignTask:
 
     Every non-sampled user is scored against the frozen coverage snapshot of
     the sampled user with the nearest θ; blocks are mutually independent.
-    ``snapshots`` is preferably a compact
-    :class:`~repro.coverage.state.DeltaSnapshots` log — it pickles at
-    O(|I| + S·N) instead of the dense matrix's O(S·|I|), and each block
-    reconstructs only the score rows of the snapshot positions it actually
-    references (bit-identical to the dense path).  A plain dense
-    ``(S, n_items)`` frequency array is still accepted.  The θ vectors
-    pickle as-is; the accuracy/exclusion providers handle their own state
-    shipping.
+    ``snapshots`` is the run's :class:`~repro.coverage.state.DeltaSnapshots`
+    log, and each block reconstructs only the score rows of the snapshot
+    positions it actually references.
     """
 
     def __init__(
@@ -203,30 +131,17 @@ class SnapshotAssignTask:
     ) -> None:
         self.theta = np.asarray(theta, dtype=np.float64)
         self.sampled_theta = np.asarray(sampled_theta, dtype=np.float64)
-        from repro.coverage.state import DeltaSnapshots
-
-        if isinstance(snapshots, DeltaSnapshots):
-            self.snapshots = snapshots
-        else:
-            self.snapshots = np.asarray(snapshots, dtype=np.float64)
+        self.snapshots = snapshots
         self.n = int(n)
         self.accuracy_matrix = accuracy_matrix
         self.exclusion_pairs = exclusion_pairs
-
-    def _coverage_block(self, nearest: np.ndarray) -> np.ndarray:
-        from repro.coverage.dynamic import DynamicCoverage
-        from repro.coverage.state import DeltaSnapshots
-
-        if isinstance(self.snapshots, DeltaSnapshots):
-            return self.snapshots.scores_at(nearest)
-        return DynamicCoverage.snapshot_scores(self.snapshots[nearest])
 
     def __call__(self, users: np.ndarray) -> np.ndarray:
         nearest = np.argmin(
             np.abs(self.sampled_theta[None, :] - self.theta[users, None]), axis=1
         )
         values = _combined_score_matrix(
-            self.accuracy_matrix(users), self._coverage_block(nearest), self.theta[users]
+            self.accuracy_matrix(users), self.snapshots.scores_at(nearest), self.theta[users]
         )
         rows, cols = self.exclusion_pairs(users)
         mask_pairs(values, rows, cols)

@@ -25,7 +25,7 @@ from repro.data.split import TrainTestSplit
 from repro.evaluation.evaluator import EvaluationRun, Evaluator
 from repro.exceptions import ConfigurationError, DataFormatError, NotFittedError
 from repro.ganc.framework import GANC, GANCConfig, PreferenceLike
-from repro.parallel.executor import Executor, resolve_executor
+from repro.parallel.executor import Executor
 from repro.pipeline.persistence import (
     FORMAT_VERSION,
     component_state,
@@ -124,7 +124,6 @@ class Pipeline:
 
     def _ganc_config(self, n_users: int) -> GANCConfig:
         section = self.spec.ganc
-        execution = self.spec.execution
         return GANCConfig(
             sample_size=max(1, min(section.sample_size, n_users)),
             bandwidth=section.bandwidth,
@@ -132,14 +131,12 @@ class Pipeline:
             theta_order=section.theta_order,  # type: ignore[arg-type]
             seed=self.spec.resolved_seed(section.seed),
             block_size=section.block_size,
-            n_jobs=execution.n_jobs,
-            backend=execution.backend,
+            n_jobs=self.spec.execution.n_jobs,
         )
 
     def _executor(self) -> Executor:
         """The executor declared by the spec's ``execution`` section."""
-        execution = self.spec.execution
-        return resolve_executor(None, execution.n_jobs, execution.backend)
+        return Executor(self.spec.execution.n_jobs)
 
     def set_execution(self, execution: Any) -> "Pipeline":
         """Swap the spec's ``execution`` section (mechanism only, results unchanged).
@@ -150,9 +147,7 @@ class Pipeline:
         """
         self.spec = replace(self.spec, execution=execution)
         if self._model is not None:
-            self._model.config = replace(
-                self._model.config, n_jobs=execution.n_jobs, backend=execution.backend
-            )
+            self._model.config = replace(self._model.config, n_jobs=execution.n_jobs)
         self._evaluator = None
         return self
 
@@ -308,15 +303,13 @@ class Pipeline:
         self._check_fitted()
         if self._evaluator is None:
             section = self.spec.evaluation
-            execution = self.spec.execution
             self._evaluator = Evaluator(
                 self.split,
                 n=section.n,
                 relevance_threshold=section.relevance_threshold,
                 beta=section.beta,
                 block_size=section.block_size,
-                n_jobs=execution.n_jobs,
-                backend=execution.backend,
+                n_jobs=self.spec.execution.n_jobs,
             )
         return self._evaluator
 

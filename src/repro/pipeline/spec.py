@@ -23,10 +23,10 @@ Sections
     Top-N size, relevance threshold, stratified-recall β and the scoring
     block size.
 ``execution``
-    How the batched paths run: executor backend (``serial``/``thread``/
-    ``process``) and worker count.  Execution is *mechanism*, not
-    modelling — results are byte-identical for every setting, so two specs
-    differing only in ``execution`` describe the same experiment.
+    How the batched paths run: the worker count ``n_jobs``.  Execution is
+    *mechanism*, not modelling — results are byte-identical for every
+    setting, so two specs differing only in ``execution`` describe the same
+    experiment.
 
 Every section's ``seed`` may be left ``None`` to inherit the spec-level
 ``seed``, so a single integer reproduces a whole run.
@@ -41,9 +41,13 @@ from typing import Any, Mapping
 
 from repro.exceptions import ConfigurationError
 from repro.ganc.kde import validate_bandwidth
-from repro.parallel.executor import EXECUTOR_BACKENDS, effective_n_jobs
+from repro.parallel.executor import effective_n_jobs
 
 _MISSING = object()
+
+#: Executor backends older specs and scripts name; ``n_jobs`` alone now picks
+#: the in-order loop or the thread pool, so these are accepted and ignored.
+LEGACY_BACKENDS = ("serial", "thread", "process")
 
 
 def _require_mapping(value: Any, section: str) -> dict[str, Any]:
@@ -246,36 +250,44 @@ class EvaluationSpec:
 class ExecutionSpec:
     """How the batched score paths execute (see :mod:`repro.parallel`).
 
-    ``n_jobs=1`` always runs serially regardless of ``backend``; ``-1``
-    uses one worker per CPU.  Changing this section never changes results.
+    ``n_jobs=1`` runs blocks in order in the caller, larger values on a
+    thread pool, and ``-1`` uses one worker per available CPU.  Changing
+    this section never changes results.
     """
 
-    backend: str = "thread"
     n_jobs: int = 1
 
     def __post_init__(self) -> None:
-        if self.backend not in EXECUTOR_BACKENDS:
-            raise ConfigurationError(
-                f"execution backend must be one of {list(EXECUTOR_BACKENDS)}, "
-                f"got {self.backend!r}"
-            )
-        effective_n_jobs(self.n_jobs)
+        try:
+            effective_n_jobs(self.n_jobs)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"execution {exc}") from None
 
     def to_config(self) -> dict[str, Any]:
         """Plain-dict form."""
-        return {"backend": self.backend, "n_jobs": self.n_jobs}
+        return {"n_jobs": self.n_jobs}
 
     @classmethod
     def from_config(cls, config: Mapping[str, Any]) -> "ExecutionSpec":
-        """Rebuild from :meth:`to_config` output."""
+        """Rebuild from :meth:`to_config` output.
+
+        A ``backend`` key written by older versions is accepted and ignored
+        when it names one of :data:`LEGACY_BACKENDS`.
+        """
         config = _require_mapping(config, "execution")
         _check_keys(config, ("backend", "n_jobs"), "execution")
+        backend = config.get("backend", "thread")
+        if backend not in LEGACY_BACKENDS:
+            raise ConfigurationError(
+                f"execution backend must be one of {list(LEGACY_BACKENDS)} "
+                f"(accepted and ignored), got {backend!r}"
+            )
         n_jobs = config.get("n_jobs", 1)
         if not isinstance(n_jobs, int) or isinstance(n_jobs, bool):
             raise ConfigurationError(
                 f"execution n_jobs must be an integer, got {n_jobs!r}"
             )
-        return cls(backend=config.get("backend", "thread"), n_jobs=n_jobs)
+        return cls(n_jobs=n_jobs)
 
 
 @dataclass(frozen=True)
@@ -402,7 +414,6 @@ def ganc_spec(
     seed: int | None = 0,
     block_size: int | None = None,
     n_jobs: int = 1,
-    backend: str = "thread",
     arec_params: Mapping[str, Any] | None = None,
 ) -> PipelineSpec:
     """Shorthand for the ``GANC(ARec, θ, CRec)`` specs the experiments build."""
@@ -419,6 +430,6 @@ def ganc_spec(
             block_size=block_size,
         ),
         evaluation=EvaluationSpec(n=n, block_size=block_size),
-        execution=ExecutionSpec(backend=backend, n_jobs=n_jobs),
+        execution=ExecutionSpec(n_jobs=n_jobs),
         seed=seed,
     )

@@ -300,9 +300,8 @@ class Recommender(ParamsMixin, ABC):
         :data:`repro.utils.topn.DEFAULT_BLOCK_SIZE`) so peak memory stays
         ``O(block_size × n_items)`` while the scoring itself runs as 2-D
         array operations.  The blocks are independent, so they can fan out
-        to an :class:`~repro.parallel.Executor` (or ``n_jobs`` workers of
-        the default thread backend); every backend produces the same bytes
-        as the serial loop.
+        to an :class:`~repro.parallel.Executor` (or ``n_jobs`` threads);
+        every worker count produces the same bytes as the in-order loop.
         """
         self._check_fitted()
         if n < 1:

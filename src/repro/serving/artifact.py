@@ -75,7 +75,7 @@ def spec_hash(pipeline: Pipeline) -> str:
     live fallback pipeline, so an artifact is never silently mixed with a
     pipeline compiled from a different configuration.  The ``execution``
     section is excluded: it is mechanism, not modelling (results are
-    byte-identical for every backend/worker count), so two pipelines
+    byte-identical for every worker count), so two pipelines
     differing only in how they fan out are interchangeable for serving.
     """
     config = pipeline.spec.to_config()
@@ -189,7 +189,6 @@ def compile_artifact(
     block_size: int | None = None,
     executor: Executor | None = None,
     n_jobs: int | None = None,
-    backend: str | None = None,
 ) -> Path:
     """Precompute top-``n`` for all users and write a serveable artifact.
 
@@ -211,11 +210,11 @@ def compile_artifact(
         users are served by the store's live fallback.
     block_size:
         Scoring block size override, as in :meth:`Pipeline.recommend_all`.
-    executor, n_jobs, backend:
+    executor, n_jobs:
         Fan-out of the compile pass, resolved exactly like every other
-        batched path (:func:`repro.parallel.resolve_executor`).  When any is
-        given it overrides the pipeline spec's ``execution`` section for the
-        duration of the compile.
+        batched path (:func:`repro.parallel.resolve_executor`).  When either
+        is given it overrides the pipeline spec's ``execution`` section for
+        the duration of the compile.
 
     Returns
     -------
@@ -235,10 +234,10 @@ def compile_artifact(
         raise ConfigurationError(f"n must be >= 1, got {n}")
 
     original_execution = None
-    if executor is not None or n_jobs is not None or backend is not None:
-        chosen = executor if executor is not None else resolve_executor(None, n_jobs, backend)
+    if executor is not None or n_jobs is not None:
+        chosen = resolve_executor(executor, n_jobs)
         original_execution = pipeline.spec.execution
-        pipeline.set_execution(ExecutionSpec(backend=chosen.backend, n_jobs=chosen.n_jobs))
+        pipeline.set_execution(ExecutionSpec(n_jobs=chosen.n_jobs))
 
     n_users_total = pipeline.split.train.n_users
     coverage = n_users_total if max_users is None else min(int(max_users), n_users_total)

@@ -199,7 +199,6 @@ def compile_artifact_update(
     block_size: int | None = None,
     executor: Executor | None = None,
     n_jobs: int | None = None,
-    backend: str | None = None,
 ) -> UpdateReport:
     """Bring a live artifact up to date with a refitted pipeline, delta-only.
 
@@ -225,7 +224,7 @@ def compile_artifact_update(
         (:attr:`RefitReport.state_changed`).  Only ``False`` — together with
         ``changed_users`` and a bare-recommender pipeline — enables the
         narrowed recompute; the default assumes the worst.
-    block_size, executor, n_jobs, backend:
+    block_size, executor, n_jobs:
         Fan-out of the recompute pass, exactly as in
         :func:`~repro.serving.artifact.compile_artifact`.
     """
@@ -261,10 +260,10 @@ def compile_artifact_update(
     coverage = old_coverage if old_coverage < old_total else new_total
 
     original_execution = None
-    if executor is not None or n_jobs is not None or backend is not None:
-        chosen = executor if executor is not None else resolve_executor(None, n_jobs, backend)
+    if executor is not None or n_jobs is not None:
+        chosen = resolve_executor(executor, n_jobs)
         original_execution = pipeline.spec.execution
-        pipeline.set_execution(ExecutionSpec(backend=chosen.backend, n_jobs=chosen.n_jobs))
+        pipeline.set_execution(ExecutionSpec(n_jobs=chosen.n_jobs))
 
     narrowed = (
         changed_users is not None
@@ -374,7 +373,6 @@ def ingest_and_update(
     block_size: int | None = None,
     executor: Executor | None = None,
     n_jobs: int | None = None,
-    backend: str | None = None,
 ) -> tuple[Pipeline, RefitReport, UpdateReport]:
     """The full ``repro compile --update --delta FILE`` round trip.
 
@@ -397,6 +395,5 @@ def ingest_and_update(
         block_size=block_size,
         executor=executor,
         n_jobs=n_jobs,
-        backend=backend,
     )
     return refitted, refit_report, update_report

@@ -7,13 +7,12 @@ and filtered through the feedback model.  For ``parallel_safe`` sources the
 event axis is cut into ``config.shards`` contiguous shards (a pure function
 of the trace length — never of worker counts) and fanned out over a
 :class:`~repro.parallel.Executor`; each shard's feedback randomness comes
-from a per-shard generator derived via ``SeedSequence.spawn`` in the parent,
-so results are byte-identical across ``serial``/``thread``/``process``
-backends and any ``--jobs``.  Online sources (a live dynamic-coverage GANC)
-are consumed strictly in event order instead: each event's consumed items
-flow back through ``CoverageState.apply`` before the next lookup — with the
-*same* per-shard generator layout, so the run stays a pure function of the
-seed.
+from a per-shard generator derived via ``SeedSequence.spawn`` before any
+shard runs, so results are byte-identical for any ``--jobs``.  Online
+sources (a live dynamic-coverage GANC) are consumed strictly in event order
+instead: each event's consumed items flow back through
+``CoverageState.apply`` before the next lookup — with the *same* per-shard
+generator layout, so the run stays a pure function of the seed.
 
 **Windowed drift** — events are merged in global order into fixed-size
 windows.  Per window the engine records item-space coverage and Gini (of
@@ -39,7 +38,7 @@ from repro.coverage.state import CoverageState
 from repro.data.split import TrainTestSplit
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.metrics.report import relevant_test_items
-from repro.parallel.executor import Executor, SerialExecutor
+from repro.parallel.executor import Executor
 from repro.simulate.events import KIND_COLD, KIND_RETURNING, Trace
 from repro.simulate.feedback import FEEDBACK_MODELS, create_feedback
 from repro.simulate.report import REPORT_SCHEMA_VERSION
@@ -105,12 +104,7 @@ class SimulationConfig:
 
 
 class ShardReplayTask:
-    """Replays one shard of trace events against a parallel-safe source.
-
-    Instances are shipped once per process-pool worker (the executor's
-    initializer path); the source serializes as paths and re-opens lazily,
-    so shipping cost is O(trace columns), not O(model state).
-    """
+    """Replays one shard of trace events against a parallel-safe source."""
 
     needs_rng = True
 
@@ -255,8 +249,8 @@ def run_simulation(
     ``split`` supplies held-out futures for the accuracy proxies and train
     popularity for novelty; it defaults to the pipeline's own split when the
     source is a :class:`PipelineSource` and is required by the ``replay``
-    scenario.  ``executor`` is pure mechanism — any backend/worker count
-    yields byte-identical traces and reports.
+    scenario.  ``executor`` is pure mechanism — any worker count yields
+    byte-identical traces and reports.
     """
     if split is None and isinstance(source, PipelineSource):
         split = source.split
@@ -269,7 +263,7 @@ def run_simulation(
             seed=config.seed,
             split=split,
         )
-    executor = executor if executor is not None else SerialExecutor()
+    executor = executor if executor is not None else Executor()
 
     # ------------------------------------------------------------------ #
     # Phase 1: replay

@@ -101,7 +101,7 @@ class Trace:
 
         The shard layout is a pure function of ``(n_events, n_shards)`` —
         never of worker counts — which is what makes sharded replay
-        byte-identical across executor backends and ``--jobs`` values.
+        byte-identical across ``--jobs`` values.
         Trailing shards may be one event shorter; empty shards are dropped.
         """
         if n_shards < 1:

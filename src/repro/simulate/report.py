@@ -5,7 +5,7 @@ trace digest, a per-window series of drift metrics and whole-run totals.
 The schema is pinned (:data:`REPORT_SCHEMA_VERSION`, fixed key sets) and the
 encoding is canonical — sorted keys, minimal separators, one trailing
 newline — so two runs can be compared byte-for-byte, which is exactly how
-the determinism tests and the CI smoke job compare backends.
+the determinism tests and the CI smoke job compare worker counts.
 
 Determinism rule: nothing wall-clock-dependent may enter a report.
 Throughput numbers live in ``BENCH_simulate.json``, not here.

@@ -4,7 +4,7 @@ Each scenario turns ``(n_users, n_events, seed)`` — plus, for ``replay``, a
 fitted train/test split — into a :class:`~repro.simulate.events.Trace`.  All
 randomness flows from a fixed ``SeedSequence`` spawn layout (stream 0 drives
 timestamps, stream 1 drives user draws), so a scenario is a pure function of
-its arguments: same inputs, byte-identical trace, on any machine or backend.
+its arguments: same inputs, byte-identical trace, on any machine.
 
 User pools follow one convention across scenarios: the *cold pool* is the
 last ``cold_fraction`` (default 20%) of the user universe, reserved for

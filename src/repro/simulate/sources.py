@@ -8,9 +8,8 @@ One simulator, three deployment shapes:
   via its O(N) delta, so every later arrival is answered against the shifted
   state — the Dyn optimizers running genuinely online.
 * :class:`StoreSource` — a compiled, memory-mapped
-  :class:`~repro.serving.store.RecommendationStore` artifact.  Stateless and
-  constructed from paths, so it pickles cheaply into process-pool workers
-  and trace shards can replay in parallel.
+  :class:`~repro.serving.store.RecommendationStore` artifact.  Stateless,
+  so trace shards can replay in parallel on threads sharing one store.
 * :class:`HTTPSource` — a running ``repro serve`` tier reached over HTTP;
   the end-to-end mode, which also scrapes the tier's Prometheus
   ``/metrics`` endpoint for the run report.
@@ -132,10 +131,8 @@ class PipelineSource(RecommendationSource):
 class StoreSource(RecommendationSource):
     """Serve events from a compiled artifact via :class:`RecommendationStore`.
 
-    Holds only the artifact/pipeline *paths* and opens the store lazily, so
-    instances pickle into process-pool workers without shipping mapped
-    shards; each worker re-maps the artifact on first use (mmap pages are
-    shared by the OS anyway).
+    The store is opened (and validated) at construction; the thread pool
+    shares it across shards.
     """
 
     kind = "store"
@@ -147,41 +144,21 @@ class StoreSource(RecommendationSource):
         *,
         pipeline_dir: str | Path | None = None,
     ) -> None:
+        from repro.serving.store import RecommendationStore
+
         self.artifact_dir = Path(artifact_dir)
         self.pipeline_dir = None if pipeline_dir is None else Path(pipeline_dir)
-        self._store = None
-        self._open()  # validate eagerly in the parent process
-
-    def _open(self):
-        if self._store is None:
-            from repro.serving.store import RecommendationStore
-
-            self._store = RecommendationStore(
-                self.artifact_dir, pipeline=self.pipeline_dir
-            )
-        return self._store
-
-    def __getstate__(self) -> dict:
-        return {
-            "artifact_dir": self.artifact_dir,
-            "pipeline_dir": self.pipeline_dir,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.artifact_dir = state["artifact_dir"]
-        self.pipeline_dir = state["pipeline_dir"]
-        self._store = None
+        self._store = RecommendationStore(self.artifact_dir, pipeline=self.pipeline_dir)
 
     @property
     def n_users(self) -> int:
         """User-universe size recorded in the artifact manifest."""
-        return self._open().n_users_total
+        return self._store.n_users_total
 
     @property
     def n_items(self) -> int:
         """Item-universe size recorded in the artifact manifest."""
-        store = self._open()
-        n_items = store.manifest.get("n_items")
+        n_items = self._store.manifest.get("n_items")
         if n_items is None:
             raise SimulationError(
                 f"artifact {self.artifact_dir} predates n_items manifests; "
@@ -191,7 +168,7 @@ class StoreSource(RecommendationSource):
 
     def rows(self, users: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray | None]:
         """Batched ``lookup_rows`` against the memory-mapped artifact."""
-        items, scores, _ = self._open().lookup_rows(np.asarray(users, dtype=np.int64), n)
+        items, scores, _ = self._store.lookup_rows(np.asarray(users, dtype=np.int64), n)
         return items, scores
 
 

@@ -47,7 +47,7 @@ def spawn_seed_sequences(seed: int | None, count: int) -> list[np.random.SeedSeq
     Thin wrapper over ``numpy.random.SeedSequence.spawn``: child ``i`` is a
     pure function of ``(seed, i)``, so a parallel fan-out that derives the
     children *before* scattering work gets identical per-block streams
-    regardless of backend, worker count or completion order.  ``seed=None``
+    regardless of worker count or completion order.  ``seed=None``
     draws the root from OS entropy (children are then only reproducible
     within the call).
     """

@@ -106,6 +106,15 @@ def test_update_document_records_delta_compile_numbers():
     assert speedups["coldstart_update_vs_scratch"] >= 2.0
 
 
+def test_parallel_document_was_measured_where_the_cores_exist():
+    """A speed-up at --jobs J means nothing on fewer than J visible CPUs."""
+    payload = bench_json.load_and_validate(OUTPUT_DIR / "BENCH_parallel_scaling.json")
+    config = payload["config"]
+    assert payload["equal"] is True
+    jobs = [int(value) for value in str(config["jobs"]).split()]
+    assert config["cpus_visible"] >= max(jobs)
+
+
 def test_scale_document_records_the_issue_gates():
     """The committed 10M-rating numbers: every stage ran, within 8 GB of RSS."""
     payload = bench_json.load_and_validate(OUTPUT_DIR / "BENCH_scale.json")

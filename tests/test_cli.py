@@ -238,6 +238,7 @@ def test_cli_compile_rejects_bad_arguments(option, value):
 
 
 def test_cli_jobs_and_backend_preserve_recommend_output(tmp_path, capsys):
+    """--jobs changes nothing but speed; --backend is accepted with no effect."""
     serial_csv = tmp_path / "serial.csv"
     parallel_csv = tmp_path / "parallel.csv"
     base = [
@@ -272,6 +273,29 @@ def test_cli_run_jobs_override_preserves_spec_output(tmp_path, capsys):
             "run", "--config", str(spec_path), "--jobs", "2",
             "--backend", "thread", "--save-recommendations", str(parallel_csv),
         ]
+    ) == 0
+    assert serial_csv.read_bytes() == parallel_csv.read_bytes()
+
+
+def test_cli_run_accepts_a_spec_naming_an_executor_backend(tmp_path, capsys):
+    """Older specs carry execution.backend; it loads and is ignored."""
+    spec_path = tmp_path / "spec.json"
+    serial_csv = tmp_path / "serial.csv"
+    parallel_csv = tmp_path / "parallel.csv"
+    assert main(
+        [
+            "recommend", "--dataset", "ml100k", "--scale", "0.15",
+            "--arec", "psvd10", "--theta", "thetaG", "--coverage", "dyn",
+            "--sample-size", "25", "--dump-spec", str(spec_path),
+            "--save-recommendations", str(serial_csv),
+        ]
+    ) == 0
+    config = json.loads(spec_path.read_text())
+    assert config["execution"] == {"n_jobs": 1}
+    config["execution"] = {"backend": "process", "n_jobs": 2}
+    spec_path.write_text(json.dumps(config))
+    assert main(
+        ["run", "--config", str(spec_path), "--save-recommendations", str(parallel_csv)]
     ) == 0
     assert serial_csv.read_bytes() == parallel_csv.read_bytes()
 

@@ -148,25 +148,15 @@ def test_oslg_snapshot_log_is_compact_and_reconstructs(medium_split):
     )
 
 
-def test_oslg_fallback_snapshots_track_subclass_counting(medium_split):
-    """A DynamicCoverage subclass with custom counting must get snapshots of
-    its *actual* frequencies (dense capture), not a +1-per-item delta replay."""
+def test_oslg_rejects_dynamic_coverage_subclasses(tiny_dataset):
+    """A subclass may count assignments its own way, which the delta-updated
+    snapshot log cannot reproduce, so OSLG refuses it by name."""
 
     class DoubleCountCoverage(DynamicCoverage):
         def update(self, items):
             super().update(items)
             super().update(items)  # counts every assignment twice
 
-    train = medium_split.train
-    theta = GeneralizedPreference().estimate(train).theta
-    accuracy, exclusions = _providers(train)
-    coverage = DoubleCountCoverage().fit(train)
-    result = OSLGOptimizer(coverage, 3, sample_size=10, seed=2).run(
-        theta, accuracy, exclusions
-    )
-    assert result.snapshot_log is None
-    # Every sampled user assigned 3 items, each counted twice.
-    np.testing.assert_allclose(
-        result.snapshots.sum(axis=1), 6 * np.arange(1, 11)
-    )
-    np.testing.assert_array_equal(result.snapshots[-1], coverage.frequencies)
+    coverage = DoubleCountCoverage().fit(tiny_dataset)
+    with pytest.raises(ConfigurationError, match="DoubleCountCoverage"):
+        OSLGOptimizer(coverage, 3, sample_size=10, seed=2)

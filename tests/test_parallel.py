@@ -1,15 +1,12 @@
-"""Tests of the sharded parallel execution backend (:mod:`repro.parallel`).
+"""Tests of sharded parallel execution (:mod:`repro.parallel`).
 
-The load-bearing property is *equivalence*: every backend (serial, thread,
-process — including spawn-started workers that rehydrate fitted state from
-handles) must produce byte-identical outputs for every registered
-recommender, both GANC optimizers, the evaluator and persisted pipelines,
-for any block size and worker count.
+The load-bearing property is *equivalence*: the thread pool (``n_jobs > 1``)
+must produce byte-identical outputs to the in-order loop (``n_jobs == 1``)
+for every registered recommender, both GANC optimizers, the evaluator and
+persisted pipelines, for any block size and worker count.
 """
 
 from __future__ import annotations
-
-import pickle
 
 import numpy as np
 import pytest
@@ -21,16 +18,10 @@ from repro.exceptions import ConfigurationError
 from repro.ganc.framework import GANC, GANCConfig
 from repro.ganc.locally_greedy import LocallyGreedyOptimizer
 from repro.parallel import (
-    ComponentHandle,
-    DatasetHandle,
     ExclusionPairsProvider,
-    ProcessExecutor,
-    RecommendBlockTask,
-    SerialExecutor,
-    ThreadExecutor,
+    Executor,
     UnitScoresProvider,
     effective_n_jobs,
-    get_executor,
     resolve_executor,
 )
 from repro.pipeline import (
@@ -50,18 +41,13 @@ from repro.utils.rng import spawn_seed_sequences
 
 N = 5
 
-#: Worker configurations every equivalence test sweeps.  The process backend
-#: uses fork where available (cheap) — one dedicated test exercises spawn,
-#: which rebuilds workers from scratch and therefore proves handle
-#: rehydration on every platform.
-PARALLEL_VARIANTS = (
-    ("thread", 3),
-    ("process", 2),
-)
+#: Thread-pool worker counts every equivalence test compares against the
+#: in-order loop.
+PARALLEL_JOBS = (2, 3)
 
-
-def _executor(backend: str, n_jobs: int):
-    return get_executor(backend, n_jobs)
+#: ``n_jobs`` values of the executor mechanics tests, labelled by the path
+#: each one takes: the in-order loop or the thread pool.
+EXECUTOR_PATHS = [pytest.param(1, id="serial-1"), pytest.param(3, id="thread-3")]
 
 
 # --------------------------------------------------------------------------- #
@@ -91,31 +77,28 @@ def test_effective_n_jobs_resolves_minus_one_to_cpu_count():
     assert effective_n_jobs(4) == 4
 
 
+def test_effective_n_jobs_counts_the_affinity_mask_not_the_host(monkeypatch):
+    """A process pinned to one CPU gets one worker, whatever the host has."""
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: 64)
+    assert effective_n_jobs(-1) == 1
+
+
 @pytest.mark.parametrize("bad", [0, -2, 1.5, True, "4"])
 def test_effective_n_jobs_rejects_non_positive_and_non_int(bad):
     with pytest.raises(ConfigurationError):
         effective_n_jobs(bad)
 
 
-def test_get_executor_rejects_unknown_backend():
-    with pytest.raises(ConfigurationError):
-        get_executor("gpu", 2)
-
-
 def test_resolve_executor_explicit_instance_wins():
-    executor = ThreadExecutor(2)
-    assert resolve_executor(executor, 8, "process") is executor
+    executor = Executor(2)
+    assert resolve_executor(executor, 8) is executor
 
 
 def test_resolve_executor_defaults_to_serial():
-    assert resolve_executor(None, None, None).backend == "serial"
-    assert resolve_executor(None, 1, "process").backend == "serial"
-
-
-def test_resolve_executor_builds_requested_backend():
-    executor = resolve_executor(None, 3, "process")
-    assert isinstance(executor, ProcessExecutor)
-    assert executor.n_jobs == 3
+    assert resolve_executor(None, None).n_jobs == 1
+    assert resolve_executor(None, 1).n_jobs == 1
+    assert resolve_executor(None, 3).n_jobs == 3
 
 
 def test_resolve_executor_rejects_non_executor():
@@ -123,25 +106,25 @@ def test_resolve_executor_rejects_non_executor():
         resolve_executor(object())
 
 
-@pytest.mark.parametrize("backend,n_jobs", [("serial", 1), *PARALLEL_VARIANTS])
-def test_map_blocks_preserves_block_order(backend, n_jobs):
+@pytest.mark.parametrize("n_jobs", EXECUTOR_PATHS)
+def test_map_blocks_preserves_block_order(n_jobs):
     blocks = [np.arange(start, start + 3) for start in range(0, 30, 3)]
-    results = _executor(backend, n_jobs).map_blocks(_MarkerTask(), blocks)
+    results = Executor(n_jobs).map_blocks(_MarkerTask(), blocks)
     assert [int(r[0]) for r in results] == [int(b[0]) for b in blocks]
 
 
-@pytest.mark.parametrize("backend,n_jobs", [("serial", 1), *PARALLEL_VARIANTS])
-def test_map_blocks_propagates_worker_exceptions(backend, n_jobs):
+@pytest.mark.parametrize("n_jobs", EXECUTOR_PATHS)
+def test_map_blocks_propagates_worker_exceptions(n_jobs):
     blocks = [np.arange(3), np.arange(3, 6)]
     with pytest.raises(RuntimeError, match="boom"):
-        _executor(backend, n_jobs).map_blocks(_ExplodingTask(), blocks)
+        Executor(n_jobs).map_blocks(_ExplodingTask(), blocks)
 
 
-@pytest.mark.parametrize("backend,n_jobs", PARALLEL_VARIANTS)
-def test_seeded_tasks_draw_identical_streams_on_every_backend(backend, n_jobs):
+@pytest.mark.parametrize("n_jobs", [pytest.param(3, id="thread-3")])
+def test_seeded_tasks_draw_identical_streams_on_every_backend(n_jobs):
     blocks = [np.arange(start, start + 4) for start in range(0, 20, 4)]
-    serial = SerialExecutor().map_blocks(_SeededTask(), blocks, seed=123)
-    parallel = _executor(backend, n_jobs).map_blocks(_SeededTask(), blocks, seed=123)
+    serial = Executor(1).map_blocks(_SeededTask(), blocks, seed=123)
+    parallel = Executor(n_jobs).map_blocks(_SeededTask(), blocks, seed=123)
     for expected, got in zip(serial, parallel):
         np.testing.assert_array_equal(expected, got)
 
@@ -168,62 +151,14 @@ def test_spawn_seed_sequences_rejects_negative_count():
 
 
 # --------------------------------------------------------------------------- #
-# Handles
+# Providers
 # --------------------------------------------------------------------------- #
-def test_dataset_handle_round_trips_and_caches(small_split):
-    handle = DatasetHandle.capture(small_split.train)
-    restored = pickle.loads(pickle.dumps(handle))
-    dataset = restored.restore()
-    assert dataset.n_users == small_split.train.n_users
-    assert dataset.n_items == small_split.train.n_items
-    np.testing.assert_array_equal(dataset.ratings, small_split.train.ratings)
-    assert restored.restore() is dataset  # process-level cache
-
-
-def test_component_handle_rehydrates_byte_identical_scores(small_split):
-    model = make_recommender("psvd10").fit(small_split.train)
-    handle = pickle.loads(pickle.dumps(ComponentHandle.capture(model)))
-    clone = handle.restore()
-    assert clone is not model
-    np.testing.assert_array_equal(clone.predict_matrix(), model.predict_matrix())
-    np.testing.assert_array_equal(
-        clone.recommend_all(N).items, model.recommend_all(N).items
-    )
-
-
-def test_component_handle_works_for_coverage_components(small_split):
-    coverage = StaticCoverage().fit(small_split.train)
-    handle = pickle.loads(pickle.dumps(ComponentHandle.capture(coverage)))
-    clone = handle.restore()
-    np.testing.assert_array_equal(clone.scores(0), coverage.scores(0))
-
-
-def test_recommend_block_task_pickle_round_trip(small_split):
-    model = make_recommender("itemknn").fit(small_split.train)
-    task = RecommendBlockTask(model, N)
-    users = np.arange(small_split.train.n_users)
-    rehydrated = pickle.loads(pickle.dumps(task))
-    np.testing.assert_array_equal(rehydrated(users), task(users))
-
-
-def test_providers_share_one_dataset_handle_across_the_fan_out(small_split):
-    """GANC ships the train data once, not once per provider."""
-    model = make_recommender("pop").fit(small_split.train)
-    shared = DatasetHandle.capture(small_split.train)
-    scores = UnitScoresProvider(model, N, train_handle=shared)
-    pairs = ExclusionPairsProvider(small_split.train, handle=shared)
-    restored_scores, restored_pairs = pickle.loads(pickle.dumps((scores, pairs)))
-    restored_scores(np.arange(4))
-    restored_pairs(np.arange(4))
-    assert restored_scores._component().train_data is restored_pairs._dataset()
-
-
-def test_providers_pickle_round_trip(small_split):
+def test_providers_match_the_batched_sources(small_split):
     model = make_recommender("pop").fit(small_split.train)
     users = np.arange(0, small_split.train.n_users, 2)
-    scores = pickle.loads(pickle.dumps(UnitScoresProvider(model, N)))
+    scores = UnitScoresProvider(model, N)
     np.testing.assert_array_equal(scores(users), model.unit_scores_batch(users, N))
-    pairs = pickle.loads(pickle.dumps(ExclusionPairsProvider(small_split.train)))
+    pairs = ExclusionPairsProvider(small_split.train)
     expected_rows, expected_cols = small_split.train.user_items_batch(users)
     rows, cols = pairs(users)
     np.testing.assert_array_equal(rows, expected_rows)
@@ -231,17 +166,15 @@ def test_providers_pickle_round_trip(small_split):
 
 
 # --------------------------------------------------------------------------- #
-# recommend_all equivalence: every registered recommender, every backend
+# recommend_all equivalence: every registered recommender, every worker count
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("name", sorted(available("recommender")))
 def test_recommend_all_parallel_backends_match_serial(name, small_split):
     model = make_recommender(name, seed=0).fit(small_split.train)
     serial = model.recommend_all(N, block_size=7).items
-    for backend, n_jobs in PARALLEL_VARIANTS:
-        parallel = model.recommend_all(
-            N, block_size=7, executor=_executor(backend, n_jobs)
-        ).items
-        np.testing.assert_array_equal(parallel, serial, err_msg=f"{name} via {backend}")
+    for n_jobs in PARALLEL_JOBS:
+        parallel = model.recommend_all(N, block_size=7, executor=Executor(n_jobs)).items
+        np.testing.assert_array_equal(parallel, serial, err_msg=f"{name} n_jobs={n_jobs}")
 
 
 def test_recommend_all_n_jobs_shorthand_matches_serial(small_split):
@@ -254,20 +187,11 @@ def test_recommend_all_results_invariant_to_block_size(small_split):
     model = make_recommender("rsvd", n_epochs=2, seed=0).fit(small_split.train)
     reference = model.recommend_all(N).items
     for block_size in (1, 3, 16, 1000):
-        for backend, n_jobs in PARALLEL_VARIANTS:
+        for n_jobs in PARALLEL_JOBS:
             got = model.recommend_all(
-                N, block_size=block_size, executor=_executor(backend, n_jobs)
+                N, block_size=block_size, executor=Executor(n_jobs)
             ).items
             np.testing.assert_array_equal(got, reference)
-
-
-def test_process_spawn_workers_rehydrate_from_handles(small_split):
-    """The spawn start method proves workers rebuild state from the handle."""
-    model = make_recommender("psvd10").fit(small_split.train)
-    serial = model.recommend_all(N, block_size=16).items
-    executor = ProcessExecutor(2, start_method="spawn")
-    parallel = model.recommend_all(N, block_size=16, executor=executor).items
-    np.testing.assert_array_equal(parallel, serial)
 
 
 # --------------------------------------------------------------------------- #
@@ -279,23 +203,22 @@ def test_ganc_parallel_backends_match_serial(coverage_cls, optimizer, medium_spl
     if optimizer == "oslg" and coverage_cls is StaticCoverage:
         pytest.skip("OSLG requires dynamic coverage")
 
-    def build(n_jobs: int, backend: str) -> np.ndarray:
+    def build(n_jobs: int) -> np.ndarray:
         model = GANC(
             make_recommender("psvd10"),
             GeneralizedPreference(),
             coverage_cls(),
             config=GANCConfig(
-                sample_size=40, optimizer=optimizer, seed=0, block_size=13,
-                n_jobs=n_jobs, backend=backend,
+                sample_size=40, optimizer=optimizer, seed=0, block_size=13, n_jobs=n_jobs
             ),
         )
         model.fit(medium_split.train)
         return model.recommend_all(N).items
 
-    serial = build(1, "thread")
-    for backend, n_jobs in PARALLEL_VARIANTS:
+    serial = build(1)
+    for n_jobs in PARALLEL_JOBS:
         np.testing.assert_array_equal(
-            build(n_jobs, backend), serial, err_msg=f"{optimizer} via {backend}"
+            build(n_jobs), serial, err_msg=f"{optimizer} n_jobs={n_jobs}"
         )
 
 
@@ -309,13 +232,13 @@ def test_run_independent_executor_matches_sequential_run(small_split):
         lambda u: model.unit_scores(u, N),
         small_split.train.user_items,
     ).items
-    for backend, n_jobs in PARALLEL_VARIANTS:
+    for n_jobs in PARALLEL_JOBS:
         parallel = optimizer.run_independent(
             theta,
             UnitScoresProvider(model, N),
             ExclusionPairsProvider(small_split.train),
             block_size=9,
-            executor=_executor(backend, n_jobs),
+            executor=Executor(n_jobs),
         ).items
         np.testing.assert_array_equal(parallel, sequential)
 
@@ -327,9 +250,9 @@ def test_evaluator_parallel_backends_reproduce_serial_metrics(small_split):
     serial_run = Evaluator(small_split, n=N).evaluate_recommender(
         make_recommender("psvd10"), algorithm="psvd10"
     )
-    for backend, n_jobs in PARALLEL_VARIANTS:
+    for n_jobs in PARALLEL_JOBS:
         run = Evaluator(
-            small_split, n=N, block_size=11, n_jobs=n_jobs, backend=backend
+            small_split, n=N, block_size=11, n_jobs=n_jobs
         ).evaluate_recommender(make_recommender("psvd10"), algorithm="psvd10")
         assert run.report.as_dict() == serial_run.report.as_dict()
         for user, items in serial_run.recommendations.items():
@@ -340,7 +263,7 @@ def test_evaluator_validates_n_jobs_and_backend(small_split):
     with pytest.raises(ConfigurationError):
         Evaluator(small_split, n_jobs=0)
     with pytest.raises(ConfigurationError):
-        Evaluator(small_split, n_jobs=2, backend="gpu")
+        Evaluator(small_split, n_jobs=-2)
 
 
 def test_evaluate_pipeline_hands_executor_to_accepting_builders(small_split):
@@ -351,9 +274,10 @@ def test_evaluate_pipeline_hands_executor_to_accepting_builders(small_split):
         model = make_recommender("pop").fit(split.train)
         return model.recommend_all(n, executor=executor)
 
-    evaluator = Evaluator(small_split, n=N, n_jobs=2, backend="thread")
+    evaluator = Evaluator(small_split, n=N, n_jobs=2)
     run = evaluator.evaluate_pipeline(builder, algorithm="pop-parallel")
-    assert isinstance(captured["executor"], ThreadExecutor)
+    assert isinstance(captured["executor"], Executor)
+    assert captured["executor"].n_jobs == 2
 
     def plain_builder(split, n):
         model = make_recommender("pop").fit(split.train)
@@ -367,13 +291,22 @@ def test_evaluate_pipeline_hands_executor_to_accepting_builders(small_split):
 # Pipeline: execution section, persistence under non-default settings
 # --------------------------------------------------------------------------- #
 def test_execution_spec_round_trips_and_validates():
-    spec = ExecutionSpec(backend="process", n_jobs=4)
+    spec = ExecutionSpec(n_jobs=4)
     assert ExecutionSpec.from_config(spec.to_config()) == spec
     assert ExecutionSpec.from_config({}) == ExecutionSpec()
-    with pytest.raises(ConfigurationError):
-        ExecutionSpec(backend="gpu")
+    # Older specs name an executor backend: accepted, ignored, not written back.
+    legacy = ExecutionSpec.from_config({"backend": "process", "n_jobs": 2})
+    assert legacy == ExecutionSpec(n_jobs=2)
+    assert legacy.to_config() == {"n_jobs": 2}
+    assert ExecutionSpec.from_config(legacy.to_config()) == legacy
+    with pytest.raises(ConfigurationError, match="execution"):
+        ExecutionSpec.from_config({"backend": "gpu"})
     with pytest.raises(ConfigurationError):
         ExecutionSpec(n_jobs=0)
+    with pytest.raises(ConfigurationError, match="^execution n_jobs must be"):
+        PipelineSpec.from_config(
+            {"recommender": {"name": "pop"}, "execution": {"n_jobs": 0}}
+        )
     with pytest.raises(ConfigurationError):
         ExecutionSpec.from_config({"n_jobs": "two"})
     with pytest.raises(ConfigurationError):
@@ -383,9 +316,9 @@ def test_execution_spec_round_trips_and_validates():
 def test_pipeline_spec_round_trips_execution_section():
     spec = ganc_spec(
         dataset="ml100k", arec="pop", theta="thetaG",
-        n_jobs=2, backend="process", scale=0.1,
+        n_jobs=2, scale=0.1,
     )
-    assert spec.execution == ExecutionSpec(backend="process", n_jobs=2)
+    assert spec.execution == ExecutionSpec(n_jobs=2)
     rebuilt = PipelineSpec.from_json(spec.to_json())
     assert rebuilt == spec
     # Pre-execution-section configs (older spec files) still load.
@@ -394,7 +327,7 @@ def test_pipeline_spec_round_trips_execution_section():
     assert PipelineSpec.from_config(config).execution == ExecutionSpec()
 
 
-def _parallel_spec(backend: str, n_jobs: int, block_size: int | None) -> PipelineSpec:
+def _parallel_spec(n_jobs: int, block_size: int | None) -> PipelineSpec:
     return PipelineSpec(
         dataset=DatasetSpec(key="ml100k", scale=0.12),
         recommender=ComponentSpec("psvd10"),
@@ -402,45 +335,39 @@ def _parallel_spec(backend: str, n_jobs: int, block_size: int | None) -> Pipelin
         coverage=ComponentSpec("dyn"),
         ganc=GANCSpec(sample_size=25, optimizer="oslg", block_size=block_size),
         evaluation=EvaluationSpec(n=N, block_size=block_size),
-        execution=ExecutionSpec(backend=backend, n_jobs=n_jobs),
+        execution=ExecutionSpec(n_jobs=n_jobs),
         seed=0,
     )
 
 
 def test_pipeline_execution_section_reproduces_serial_output():
-    serial = Pipeline(_parallel_spec("thread", 1, None)).fit()
+    serial = Pipeline(_parallel_spec(1, None)).fit()
     reference = serial.recommend_all().items
-    for backend, n_jobs in PARALLEL_VARIANTS:
-        pipeline = Pipeline(_parallel_spec(backend, n_jobs, 17)).fit(serial.split)
+    for n_jobs in PARALLEL_JOBS:
+        pipeline = Pipeline(_parallel_spec(n_jobs, 17)).fit(serial.split)
         np.testing.assert_array_equal(pipeline.recommend_all().items, reference)
 
 
 def test_pipeline_save_load_under_non_default_block_size_and_n_jobs(tmp_path):
-    """A persisted pipeline must serve byte-identical top-N from worker processes."""
-    pipeline = Pipeline(_parallel_spec("process", 2, 7)).fit()
+    """A persisted pipeline must serve byte-identical top-N from the thread pool."""
+    pipeline = Pipeline(_parallel_spec(2, 7)).fit()
     reference = pipeline.recommend_all().items
 
     saved = pipeline.save(tmp_path / "artifact")
     loaded = Pipeline.load(saved)
-    assert loaded.spec.execution == ExecutionSpec(backend="process", n_jobs=2)
+    assert loaded.spec.execution == ExecutionSpec(n_jobs=2)
     assert loaded.spec.ganc.block_size == 7
     np.testing.assert_array_equal(loaded.recommend_all().items, reference)
-
-    # The spawn start method serves the same bytes purely from rehydrated
-    # worker state (nothing inherited from the parent's memory).
-    spawn_served = loaded.recommender.recommend_all(
-        N, block_size=7, executor=ProcessExecutor(2, start_method="spawn")
-    ).items
     np.testing.assert_array_equal(
-        spawn_served, loaded.recommender.recommend_all(N, block_size=7).items
+        loaded.recommender.recommend_all(N, block_size=7, executor=Executor(2)).items,
+        loaded.recommender.recommend_all(N, block_size=7).items,
     )
 
 
 def test_pipeline_set_execution_propagates_to_fitted_model():
-    pipeline = Pipeline(_parallel_spec("thread", 1, None)).fit()
+    pipeline = Pipeline(_parallel_spec(1, None)).fit()
     reference = pipeline.recommend_all().items
-    pipeline.set_execution(ExecutionSpec(backend="process", n_jobs=2))
+    pipeline.set_execution(ExecutionSpec(n_jobs=2))
     assert pipeline.model is not None
     assert pipeline.model.config.n_jobs == 2
-    assert pipeline.model.config.backend == "process"
     np.testing.assert_array_equal(pipeline.recommend_all().items, reference)

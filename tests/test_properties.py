@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.data.dataset import RatingDataset
-from repro.parallel import SerialExecutor, ThreadExecutor
+from repro.parallel import Executor
 from repro.recommenders.popularity import MostPopular
 from repro.utils.rng import spawn_seed_sequences
 from repro.utils.topn import iter_user_blocks, top_n_indices, top_n_matrix
@@ -135,7 +135,7 @@ def test_blocked_parallel_selection_reassembles_serial_result(
     full = top_n_matrix(scores, n)
     blocks = list(iter_user_blocks(n_users, block_size))
     task = _BlockTopN(scores, n)
-    for executor in (SerialExecutor(), ThreadExecutor(n_jobs)):
+    for executor in (Executor(1), Executor(n_jobs)):
         out = np.empty_like(full)
         for users, rows in zip(blocks, executor.map_blocks(task, blocks)):
             out[users] = rows
@@ -185,7 +185,7 @@ def test_recommender_batch_serial_parallel_equivalence(data, n, block_size, n_jo
     batched = model.recommend_all(n, block_size=block_size).items
     np.testing.assert_array_equal(batched, loop)
     parallel = model.recommend_all(
-        n, block_size=block_size, executor=ThreadExecutor(n_jobs)
+        n, block_size=block_size, executor=Executor(n_jobs)
     ).items
     np.testing.assert_array_equal(parallel, loop)
 

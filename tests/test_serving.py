@@ -118,7 +118,7 @@ def test_parallel_compile_matches_serial(small_split, tmp_path):
     compile_artifact(tmp_path / "pipe", tmp_path / "serial", shard_size=11)
     compile_artifact(
         tmp_path / "pipe", tmp_path / "threaded",
-        shard_size=11, n_jobs=3, backend="thread", block_size=7,
+        shard_size=11, n_jobs=3, block_size=7,
     )
     for entry in load_manifest(tmp_path / "serial")["shards"]:
         serial = (tmp_path / "serial" / entry["items"]).read_bytes()
@@ -278,7 +278,7 @@ def test_spec_hash_ignores_execution_section(small_split, tmp_path):
     pipeline.save(tmp_path / "pipe")
     # Compiling with an executor override mutates the in-memory spec's
     # execution section; the artifact must still accept the saved pipeline.
-    compile_artifact(tmp_path / "pipe", tmp_path / "art", n_jobs=2, backend="thread")
+    compile_artifact(tmp_path / "pipe", tmp_path / "art", n_jobs=2)
     store = RecommendationStore(tmp_path / "art", pipeline=tmp_path / "pipe")
     np.testing.assert_array_equal(
         store.top_n(np.arange(small_split.train.n_users), N),
@@ -293,10 +293,10 @@ def test_spec_mismatch_is_rejected(small_split, pop_artifact_dir, tmp_path):
 
 
 def test_compile_executor_override_does_not_mutate_caller_pipeline(small_split, tmp_path):
-    """The --jobs/--backend override applies for the duration of the compile only."""
+    """The --jobs override applies for the duration of the compile only."""
     pipeline = Pipeline(_bare_spec("pop")).fit(small_split)
     before = pipeline.spec.execution
-    compile_artifact(pipeline, tmp_path / "art", n_jobs=3, backend="thread")
+    compile_artifact(pipeline, tmp_path / "art", n_jobs=3)
     assert pipeline.spec.execution == before
 
 

@@ -134,6 +134,35 @@ class TestUpdateByteIdentity:
         compile_artifact(Pipeline(spec_builder()).fit(ext.split), scratch_dir, shard_size=16)
         _assert_same_artifact(artifact_dir, scratch_dir)
 
+    @pytest.mark.parametrize("spec_builder", [lambda: _bare_spec("pop"), _ganc_spec])
+    def test_compile_and_update_bytes_do_not_depend_on_n_jobs(
+        self, tmp_path, small_split, spec_builder
+    ):
+        pipeline_dir = tmp_path / "pipeline"
+        Pipeline(spec_builder()).fit(small_split).save(pipeline_dir)
+        jobs = (1, 2, 3)
+        artifacts = [tmp_path / f"artifact-{n_jobs}" for n_jobs in jobs]
+        for artifact_dir, n_jobs in zip(artifacts, jobs):
+            compile_artifact(
+                pipeline_dir, artifact_dir, shard_size=16, block_size=7, n_jobs=n_jobs
+            )
+        for artifact_dir in artifacts[1:]:
+            _assert_same_artifact(artifact_dir, artifacts[0])
+
+        ext = _rating_delta(small_split)
+        refitted, refit_report = refit_pipeline(Pipeline.load(pipeline_dir), ext.split)
+        for artifact_dir, n_jobs in zip(artifacts, jobs):
+            compile_artifact_update(
+                refitted,
+                artifact_dir,
+                changed_users=ext.changed_users,
+                state_changed=refit_report.state_changed,
+                block_size=7,
+                n_jobs=n_jobs,
+            )
+        for artifact_dir in artifacts[1:]:
+            _assert_same_artifact(artifact_dir, artifacts[0])
+
     def test_update_with_full_refit_fallback(self, tmp_path, small_split):
         # UserKNN has no delta path; the fallback must still land on the
         # exact from-scratch bytes.

@@ -3,7 +3,7 @@
 The two load-bearing guarantees:
 
 * **Determinism** — a fixed seed yields byte-identical traces and run
-  reports across serial/thread/process backends and any worker count.
+  reports for any worker count.
 * **The online invariant** — the delta-updated coverage state equals a
   from-scratch recompute over the consumed-event history, bitwise, at every
   window boundary (asserted by ``verify=True`` inside the engine).
@@ -18,7 +18,7 @@ import pytest
 
 from repro.cli import main
 from repro.exceptions import ConfigurationError, SimulationError
-from repro.parallel.executor import get_executor
+from repro.parallel.executor import Executor
 from repro.pipeline.pipeline import Pipeline
 from repro.pipeline.spec import (
     ComponentSpec,
@@ -247,25 +247,27 @@ class TestFeedback:
 
 
 # --------------------------------------------------------------------------- #
-# Determinism: backends and worker counts
+# Determinism: worker counts
 # --------------------------------------------------------------------------- #
 class TestDeterminism:
     @pytest.mark.parametrize(
-        "backend,jobs",
-        [("serial", 1), ("thread", 2), ("thread", 5), ("process", 2)],
+        "jobs",
+        [
+            pytest.param(1, id="serial-1"),
+            pytest.param(2, id="thread-2"),
+            pytest.param(5, id="thread-5"),
+        ],
     )
-    def test_store_replay_bytes_match_serial_reference(
-        self, sim_artifact_dir, backend, jobs
-    ):
+    def test_store_replay_bytes_match_serial_reference(self, sim_artifact_dir, jobs):
         config = SimulationConfig(
             scenario="burst", n_events=N_EVENTS, n=N, window=WINDOW,
             seed=42, shards=4, verify=True,
         )
         reference = run_simulation(
-            StoreSource(sim_artifact_dir), config, executor=get_executor("serial", 1)
+            StoreSource(sim_artifact_dir), config, executor=Executor(1)
         )
         result = run_simulation(
-            StoreSource(sim_artifact_dir), config, executor=get_executor(backend, jobs)
+            StoreSource(sim_artifact_dir), config, executor=Executor(jobs)
         )
         assert result.trace.tobytes() == reference.trace.tobytes()
         assert canonical_bytes(result.report) == canonical_bytes(reference.report)
