@@ -1,8 +1,9 @@
 """Throughput benchmark: per-user loop vs batched scoring engine.
 
 Measures ``recommend_all`` (blocked ``predict_matrix`` + 2-D selection)
-against the historical one-user-at-a-time loop for several recommenders, plus
-the batched GANC assignment phases, on the synthetic ML-1M-scale profile.
+against a one-user-at-a-time loop over one-row blocks for several
+recommenders, plus Locally Greedy's blocked stateless-coverage assignment
+against its per-user loop, on the synthetic ML-1M-scale profile.
 Results are printed as a table and written to
 ``benchmarks/output/bench_batch_scoring.txt``.
 
@@ -24,12 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.coverage.dynamic import DynamicCoverage
 from repro.coverage.static import StaticCoverage
 from repro.data.split import RatioSplitter
 from repro.data.synthetic import make_dataset
 from repro.ganc.locally_greedy import LocallyGreedyOptimizer
-from repro.ganc.oslg import OSLGOptimizer
 from repro.recommenders.base import Recommender
 from repro.recommenders.registry import make_recommender
 
@@ -95,24 +94,21 @@ def bench_ganc(train, repeats: int, lines: list[str]) -> dict[str, float]:
     model = make_recommender("pop").fit(train)
     model.recommend_all(N)
 
-    def accuracy(user: int) -> np.ndarray:
-        return model.unit_scores(user, N)
-
     def accuracy_matrix(users: np.ndarray) -> np.ndarray:
         return model.unit_scores_batch(users, N)
-
-    def exclusions(user: int) -> np.ndarray:
-        return train.user_items(user)
 
     lines.append("")
     header = f"{'ganc phase':<28} {'loop_s':>9} {'batch_s':>9} {'speedup':>8}  equal"
     lines.append(header)
     lines.append("-" * len(header))
 
-    # Independent branch: static coverage, whole assignment is batched.
+    # Independent branch: static coverage, whole assignment is batched;
+    # run() walks the same users one-row block at a time.
     optimizer = LocallyGreedyOptimizer(StaticCoverage().fit(train), N)
     greedy_loop_s, seq = _time(
-        lambda: optimizer.run(theta, accuracy, exclusions, n_users=train.n_users),
+        lambda: optimizer.run(
+            theta, accuracy_matrix, train.user_items_batch, n_users=train.n_users
+        ),
         repeats=repeats,
     )
     greedy_batch_s, blocked = _time(
@@ -126,36 +122,7 @@ def bench_ganc(train, repeats: int, lines: list[str]) -> dict[str, float]:
         f"{'locally_greedy (Stat)':<28} {greedy_loop_s:>9.4f} {greedy_batch_s:>9.4f} "
         f"{greedy_loop_s / greedy_batch_s:>7.1f}x  {equal}"
     )
-
-    # OSLG snapshot phase: stacked per-user providers vs batched providers.
-    sample_size = max(min(500, train.n_users // 4), 1)
-    loop_s, a = _time(
-        lambda: OSLGOptimizer(
-            DynamicCoverage().fit(train), N, sample_size=sample_size, seed=1
-        ).run(theta, accuracy, exclusions),
-        repeats=repeats,
-    )
-    batch_s, b = _time(
-        lambda: OSLGOptimizer(
-            DynamicCoverage().fit(train), N, sample_size=sample_size, seed=1
-        ).run(
-            theta,
-            accuracy,
-            exclusions,
-            accuracy_matrix=accuracy_matrix,
-            exclusion_pairs=train.user_items_batch,
-        ),
-        repeats=repeats,
-    )
-    equal = bool(np.array_equal(a.top_n.items, b.top_n.items))
-    lines.append(
-        f"{'oslg (S=' + str(sample_size) + ', Dyn)':<28} {loop_s:>9.4f} {batch_s:>9.4f} "
-        f"{loop_s / batch_s:>7.1f}x  {equal}"
-    )
-    return {
-        "locally_greedy_stat": greedy_loop_s / greedy_batch_s,
-        "oslg_stacked_vs_batched": loop_s / batch_s,
-    }
+    return {"locally_greedy_stat": greedy_loop_s / greedy_batch_s}
 
 
 def main(argv=None) -> int:

@@ -159,13 +159,7 @@ def bench_model(name, train, theta, n, sample_size, seed, repeats, lines, metric
         optimizer = OSLGOptimizer(
             DynamicCoverage().fit(train), n, sample_size=sample_size, seed=seed
         )
-        return optimizer.run(
-            theta,
-            lambda user: model.unit_scores(user, n),
-            train.user_items,
-            accuracy_matrix=accuracy_matrix,
-            exclusion_pairs=train.user_items_batch,
-        )
+        return optimizer.run(theta, accuracy_matrix, train.user_items_batch)
 
     # Sequential sampled pass: legacy loop vs one full new OSLG run restricted
     # to comparing the sampled rows (the new run's snapshot phase cost is
@@ -200,13 +194,7 @@ def bench_model(name, train, theta, n, sample_size, seed, repeats, lines, metric
 
     def new_locally_greedy():
         greedy = LocallyGreedyOptimizer(DynamicCoverage().fit(train), n)
-        return greedy.run(
-            theta,
-            lambda user: model.unit_scores(user, n),
-            train.user_items,
-            accuracy_matrix=accuracy_matrix,
-            exclusion_pairs=train.user_items_batch,
-        )
+        return greedy.run(theta, accuracy_matrix, train.user_items_batch)
 
     greedy_new_s, greedy_new = _time(new_locally_greedy, repeats=repeats)
     greedy_equal = bool(np.array_equal(greedy_legacy, greedy_new.items))

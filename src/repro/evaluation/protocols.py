@@ -10,10 +10,9 @@ The protocol determines which items are ranked for each user at test time:
   protocol strongly rewards popularity-biased algorithms; the appendix study
   (Figures 7-8) quantifies the difference.
 
-The all-unrated protocol runs on the batched scoring path (whole-table
-evaluations score users through ``predict_matrix`` blocks); the rated-test
-protocol stays candidate-restricted per user, since each user ranks only a
-handful of their own test items.
+Both protocols score users through ``predict_matrix`` blocks: the
+all-unrated protocol ranks whole rows, the rated-test protocol gathers each
+user's test items from their row and ranks only those.
 """
 
 from __future__ import annotations
@@ -91,22 +90,21 @@ class RatedTestItemsProtocol(RankingProtocol):
     ) -> dict[int, np.ndarray]:
         """Score each user's test items and keep the best ``n`` of them.
 
-        Each user ranks only their own (small) test-candidate set, so scoring
-        stays candidate-restricted per user — computing full catalogue rows
-        here would be asymptotically wasteful for neighbourhood models.
-        ``block_size``/``executor`` are accepted for interface symmetry but
-        unused.
+        The users with test items are scored in ``block_size`` blocks of
+        :meth:`~repro.recommenders.base.Recommender.predict_matrix`, and
+        each user's candidates are gathered from their row.  ``executor`` is
+        accepted for interface symmetry but unused.
         """
-        del train, block_size, executor
+        del train, executor
+        users = np.arange(test.n_users, dtype=np.int64)
+        rows, candidates = test.user_items_batch(users)
+        scores = recommender.predict_pairs(rows, candidates, block_size=block_size)
+        bounds = np.searchsorted(rows, np.arange(test.n_users + 1))
         out: dict[int, np.ndarray] = {}
-        for user in range(test.n_users):
-            candidates = test.user_items(user)
-            if candidates.size == 0:
-                out[user] = np.empty(0, dtype=np.int64)
-                continue
-            scores = recommender.predict_scores(user, candidates)
-            top = top_n_indices(scores, n)
-            out[user] = candidates[top].astype(np.int64)
+        for user in users.tolist():
+            start, stop = bounds[user], bounds[user + 1]
+            top = top_n_indices(scores[start:stop], n)
+            out[user] = candidates[start:stop][top]
         return out
 
 

@@ -12,14 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from repro.data.split import RatioSplitter
 from repro.experiments.datasets import EXPERIMENT_DATASETS, load_experiment_split
 from repro.experiments.runner import ExperimentTable
-from repro.metrics.accuracy import rmse
 from repro.recommenders.registry import make_recommender
-from repro.recommenders.rsvd import RSVD
 from repro.utils.rng import SeedLike
 
 
@@ -33,16 +29,6 @@ class GridPoint:
     reg: float
     learning_rate: float
     validation_rmse: float
-
-
-def _validation_rmse(model: RSVD, validation) -> float:
-    predictions = np.array(
-        [
-            model.predict_scores(int(u), np.asarray([i]))[0]
-            for u, i in zip(validation.user_indices, validation.item_indices)
-        ]
-    )
-    return rmse(predictions, validation.ratings)
 
 
 def run_table5_for_dataset(
@@ -83,7 +69,7 @@ def run_table5_for_dataset(
                             n_factors=g,
                             reg=reg,
                             learning_rate=lr,
-                            validation_rmse=_validation_rmse(model, inner.test),
+                            validation_rmse=model.rmse(inner.test),
                         )
                     )
     return points

@@ -22,6 +22,7 @@ OSLG heuristic (Algorithm 1), selectable via ``optimizer``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Literal, Union
 
 import numpy as np
@@ -35,7 +36,6 @@ from repro.ganc.locally_greedy import LocallyGreedyOptimizer
 from repro.ganc.oslg import OSLGOptimizer
 from repro.ganc.value_function import UserValueFunction
 from repro.parallel.executor import Executor, effective_n_jobs
-from repro.parallel.tasks import ExclusionPairsProvider, UnitScoresProvider
 from repro.preferences.base import PreferenceModel, PreferenceResult
 from repro.recommenders.base import FittedTopN, Recommender
 from repro.utils.rng import SeedLike
@@ -206,10 +206,11 @@ class GANC:
     def recommend_all(self, n: int) -> FittedTopN:
         """Assign a top-``n`` set to every user by maximizing Eq. III.2.
 
-        All independent-user work — the whole assignment under stateless
-        coverage, and the snapshot phase of OSLG — runs through the batched
-        providers, i.e. as blocked matrix operations over
-        ``config.block_size`` users at a time.
+        Every phase reads accuracy rows from ``unit_scores_batch`` and
+        exclusions from ``user_items_batch``, ``config.block_size`` users at
+        a time; all independent-user work — the whole assignment under
+        stateless coverage, and the snapshot phase of OSLG — runs as blocked
+        matrix operations.
 
         Not safe for concurrent calls on the same instance when coverage is
         dynamic: the sequential optimizers reset and mutate the shared
@@ -221,17 +222,8 @@ class GANC:
         if n < 1:
             raise ConfigurationError(f"n must be >= 1, got {n}")
         train = self._train
-
-        def accuracy_scores(user: int) -> np.ndarray:
-            """Unit accuracy scores a(i) of one user."""
-            return self.accuracy.unit_scores(user, n)
-
-        def exclusions(user: int) -> np.ndarray:
-            """Train items of one user (excluded from top-N)."""
-            return train.user_items(user)
-
-        accuracy_matrix = UnitScoresProvider(self.accuracy, n)
-        exclusion_pairs = ExclusionPairsProvider(train)
+        accuracy_matrix = partial(self.accuracy.unit_scores_batch, n=n)
+        exclusion_pairs = train.user_items_batch
         executor = Executor(self.config.n_jobs)
 
         if self.coverage.is_dynamic:
@@ -247,10 +239,8 @@ class GANC:
                 )
                 result = optimizer.run(
                     self.theta,
-                    accuracy_scores,
-                    exclusions,
-                    accuracy_matrix=accuracy_matrix,
-                    exclusion_pairs=exclusion_pairs,
+                    accuracy_matrix,
+                    exclusion_pairs,
                     block_size=self.config.block_size,
                     executor=executor,
                 )
@@ -260,12 +250,10 @@ class GANC:
             order = self._user_order(train.n_users)
             return greedy.run(
                 self.theta,
-                accuracy_scores,
-                exclusions,
+                accuracy_matrix,
+                exclusion_pairs,
                 user_order=order,
                 n_users=train.n_users,
-                accuracy_matrix=accuracy_matrix,
-                exclusion_pairs=exclusion_pairs,
                 block_size=self.config.block_size,
             )
 

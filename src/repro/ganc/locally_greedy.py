@@ -38,40 +38,10 @@ from repro.recommenders.base import FittedTopN
 from repro.utils.topn import iter_user_blocks, top_n_indices
 
 
-AccuracyScoreProvider = Callable[[int], np.ndarray]
-ExclusionProvider = Callable[[int], np.ndarray]
 #: Batched providers: map a block of user indices to a ``(B, n_items)`` score
 #: block / to flattened ``(block_row, item)`` exclusion pairs.
 BatchAccuracyProvider = Callable[[np.ndarray], np.ndarray]
 BatchExclusionProvider = Callable[[np.ndarray], "tuple[np.ndarray, np.ndarray]"]
-
-
-def stacked_accuracy_provider(accuracy_scores: AccuracyScoreProvider) -> BatchAccuracyProvider:
-    """Adapt a per-user score callable to the batched provider interface."""
-
-    def matrix(users: np.ndarray) -> np.ndarray:
-        """Stack the per-user accuracy closure into block rows."""
-        return np.stack(
-            [np.asarray(accuracy_scores(int(u)), dtype=np.float64) for u in users]
-        )
-
-    return matrix
-
-
-def stacked_exclusion_provider(exclusions: ExclusionProvider) -> BatchExclusionProvider:
-    """Adapt a per-user exclusion callable to flattened block pairs."""
-
-    def pairs(users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Flatten the per-user exclusion closure into (rows, cols) pairs."""
-        per_user = [np.asarray(exclusions(int(u)), dtype=np.int64) for u in users]
-        counts = np.array([e.size for e in per_user], dtype=np.int64)
-        if counts.sum() == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        rows = np.repeat(np.arange(len(per_user), dtype=np.int64), counts)
-        return rows, np.concatenate(per_user)
-
-    return pairs
 
 
 class LocallyGreedyOptimizer:
@@ -96,42 +66,39 @@ class LocallyGreedyOptimizer:
     def run(
         self,
         theta: np.ndarray,
-        accuracy_scores: AccuracyScoreProvider,
-        exclusions: ExclusionProvider,
+        accuracy_matrix: BatchAccuracyProvider,
+        exclusion_pairs: BatchExclusionProvider,
         *,
         user_order: Sequence[int] | None = None,
         n_users: int | None = None,
-        accuracy_matrix: BatchAccuracyProvider | None = None,
-        exclusion_pairs: BatchExclusionProvider | None = None,
         block_size: int | None = None,
     ) -> FittedTopN:
         """Assign a top-N set to every user.
 
         With the stock :class:`~repro.coverage.dynamic.DynamicCoverage` the
         sequential pass runs on the incremental fast path: accuracy rows are
-        prefetched in ``block_size`` blocks through the batched providers
-        (the per-user callables are adapted when no batched ones are given —
-        identical rows either way) and the coverage scores are the live
-        delta-updated state vector instead of a per-user recompute.  Output
-        is byte-identical to the historical per-user loop, which remains the
-        fallback for custom coverage implementations.
+        prefetched in ``block_size`` blocks and the coverage scores are the
+        live delta-updated state vector instead of a per-user recompute.
+        Any other coverage recommender (a ``DynamicCoverage`` subclass, or a
+        stateless one) runs the per-user loop, which reads one-row blocks of
+        the same providers; both produce the same collection.
 
         Parameters
         ----------
         theta:
             Per-user long-tail preferences in [0, 1].
-        accuracy_scores:
-            Callable returning the user's accuracy score vector ``a(i)``.
-        exclusions:
-            Callable returning the items that must not be recommended to the
-            user (their train items).
+        accuracy_matrix:
+            Callable mapping a block of user indices to its ``(B, n_items)``
+            accuracy score block ``a(i)``.
+        exclusion_pairs:
+            Callable mapping a block of user indices to flattened
+            ``(block_row, item)`` pairs of items that must not be
+            recommended (see
+            :meth:`repro.data.dataset.RatingDataset.user_items_batch`).
         user_order:
             Processing order; defaults to ``0..n_users-1``.
         n_users:
             Total number of users (defaults to ``len(theta)``).
-        accuracy_matrix, exclusion_pairs:
-            Optional batched providers (block of users → score block /
-            flattened exclusion pairs) used by the incremental fast path.
         block_size:
             Users per prefetched accuracy block on the fast path.
         """
@@ -145,10 +112,6 @@ class LocallyGreedyOptimizer:
 
         out = np.full((total_users, self.n), -1, dtype=np.int64)
         if supports_incremental(self.coverage):
-            if accuracy_matrix is None:
-                accuracy_matrix = stacked_accuracy_provider(accuracy_scores)
-            if exclusion_pairs is None:
-                exclusion_pairs = stacked_exclusion_provider(exclusions)
             assigner = SequentialAssigner(
                 self.coverage, self.n, block_size=block_size  # type: ignore[arg-type]
             )
@@ -156,11 +119,10 @@ class LocallyGreedyOptimizer:
             return FittedTopN(items=out)
 
         for user in order:
+            block = np.asarray([user], dtype=np.int64)
+            _, exclude = exclusion_pairs(block)
             items = self.assign_user(
-                user,
-                float(theta[user]),
-                accuracy_scores(user),
-                exclusions(user),
+                user, float(theta[user]), accuracy_matrix(block)[0], exclude
             )
             out[user, : items.size] = items
             if self.coverage.is_dynamic:

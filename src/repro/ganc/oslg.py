@@ -37,20 +37,12 @@ from repro.coverage.state import DeltaSnapshots
 from repro.exceptions import ConfigurationError
 from repro.ganc.incremental import SequentialAssigner, supports_incremental
 from repro.ganc.kde import GaussianKDE, validate_bandwidth
-from repro.ganc.locally_greedy import (
-    AccuracyScoreProvider,
-    BatchAccuracyProvider,
-    BatchExclusionProvider,
-    ExclusionProvider,
-    stacked_accuracy_provider,
-    stacked_exclusion_provider,
-)
-from repro.ganc.value_function import combined_item_scores
+from repro.ganc.locally_greedy import BatchAccuracyProvider, BatchExclusionProvider
 from repro.parallel.executor import Executor, resolve_executor
 from repro.parallel.tasks import SnapshotAssignTask
 from repro.recommenders.base import FittedTopN
 from repro.utils.rng import SeedLike, ensure_rng
-from repro.utils.topn import iter_user_blocks, top_n_indices
+from repro.utils.topn import iter_user_blocks
 
 
 class OSLGResult:
@@ -158,22 +150,22 @@ class OSLGOptimizer:
     def run(
         self,
         theta: np.ndarray,
-        accuracy_scores: AccuracyScoreProvider,
-        exclusions: ExclusionProvider,
+        accuracy_matrix: BatchAccuracyProvider,
+        exclusion_pairs: BatchExclusionProvider,
         *,
-        accuracy_matrix: BatchAccuracyProvider | None = None,
-        exclusion_pairs: BatchExclusionProvider | None = None,
         block_size: int | None = None,
         executor: Executor | None = None,
         n_jobs: int | None = None,
     ) -> OSLGResult:
         """Execute Algorithm 1 and return the assigned collection.
 
-        Both phases use the batched providers when given and adapt the
-        per-user callables otherwise (identical rows, so the result is
-        unchanged).  The sequential sampled pass runs on the incremental
-        delta-updated engine; the snapshot blocks are mutually independent —
-        exactly the parallelism the paper points out — and fan out to
+        ``accuracy_matrix`` and ``exclusion_pairs`` map a block of user
+        indices to its ``(B, n_items)`` accuracy block and to its flattened
+        ``(block_row, item)`` exclusion pairs, as in
+        :meth:`~repro.ganc.locally_greedy.LocallyGreedyOptimizer.run`.  The
+        sequential sampled pass runs on the incremental delta-updated engine;
+        the snapshot blocks are mutually independent — exactly the
+        parallelism the paper points out — and fan out to
         ``executor``/``n_jobs`` workers with byte-identical results for any
         worker count.
         """
@@ -186,11 +178,6 @@ class OSLGOptimizer:
         sampled = self._sample_users(theta, rng)
         # Line 3: sort the sample in increasing long-tail preference.
         sampled = sampled[np.argsort(theta[sampled], kind="stable")]
-
-        if accuracy_matrix is None:
-            accuracy_matrix = stacked_accuracy_provider(accuracy_scores)
-        if exclusion_pairs is None:
-            exclusion_pairs = stacked_exclusion_provider(exclusions)
 
         out = np.full((n_users, self.n), -1, dtype=np.int64)
 
@@ -271,23 +258,3 @@ class OSLGOptimizer:
             available[best] = False
             chosen.append(int(order[best]))
         return np.asarray(sorted(chosen), dtype=np.int64)
-
-    def _assign_with_snapshot(
-        self,
-        user: int,
-        theta_u: float,
-        accuracy: np.ndarray,
-        exclude: np.ndarray,
-        frequencies: np.ndarray,
-    ) -> np.ndarray:
-        """Top-N selection against a frozen coverage snapshot (lines 12-14).
-
-        Per-user reference of the blocked snapshot phase in :meth:`run`; kept
-        for inspection and for the batch-vs-loop equivalence tests.
-        """
-        coverage_scores = DynamicCoverage.snapshot_scores(frequencies)
-        values = combined_item_scores(accuracy, coverage_scores, theta_u)
-        if np.asarray(exclude).size:
-            values = values.copy()
-            values[np.asarray(exclude, dtype=np.int64)] = -np.inf
-        return top_n_indices(values, self.n)

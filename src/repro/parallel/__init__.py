@@ -9,10 +9,10 @@ supplies the machinery:
 :mod:`repro.parallel.executor`
     The :class:`Executor`: ``n_jobs == 1`` runs blocks in order in the
     caller, ``n_jobs > 1`` on a thread pool.  Both return block results in
-    block order, so the scored output is byte-identical for any worker count
-    and any block size.
+    block order, so at a fixed block size the output is byte-identical for
+    any worker count.
 :mod:`repro.parallel.tasks`
-    The block tasks and providers used by ``recommend_all``, the
+    The block tasks used by ``recommend_all``, the
     locally-greedy independent assignment, the OSLG snapshot phase and the
     artifact compile pass.
 
@@ -20,7 +20,13 @@ Determinism
 -----------
 Block tasks used by the library are RNG-free at serve time (stochastic
 models draw from per-user keyed streams fixed at fit time), which is what
-makes results invariant to ``n_jobs`` *and* block size.  Tasks that do need
+makes results invariant to ``n_jobs``.  The block size is another matter:
+it decides which users share one matrix product, and the factor models
+(PureSVD, RSVD, CofiRank) score a row differently in the last ulps when
+its block changes, so their raw scores — and the score shards of a
+compiled artifact — depend on the block size; their top-N ids match across
+block sizes as tested.  Pop, Rand, ItemKNN and UserKNN compute every row
+on its own, so their score bytes do not depend on it.  Tasks that do need
 randomness receive per-block generators derived with
 ``numpy.random.SeedSequence.spawn`` (:func:`repro.utils.rng.spawn_seed_sequences`)
 before any block runs, so their streams depend only on the root seed and
@@ -29,12 +35,10 @@ the block position — never on thread scheduling.
 
 from repro.parallel.executor import Executor, effective_n_jobs, resolve_executor
 from repro.parallel.tasks import (
-    ExclusionPairsProvider,
     IndependentAssignTask,
     RecommendBlockTask,
     SnapshotAssignTask,
     TopNScoresTask,
-    UnitScoresProvider,
 )
 
 __all__ = [
@@ -43,8 +47,6 @@ __all__ = [
     "effective_n_jobs",
     "RecommendBlockTask",
     "TopNScoresTask",
-    "UnitScoresProvider",
-    "ExclusionPairsProvider",
     "IndependentAssignTask",
     "SnapshotAssignTask",
 ]

@@ -1,4 +1,4 @@
-"""Block tasks and providers behind the sharded score paths.
+"""Block tasks behind the sharded score paths.
 
 Each task realizes exactly the per-block arithmetic of the in-order loop it
 replaces — the same :func:`~repro.ganc.value_function.combined_score_matrix`,
@@ -55,27 +55,6 @@ class TopNScoresTask:
         valid = block_items >= 0
         gathered = np.take_along_axis(matrix, np.where(valid, block_items, 0), axis=1)
         return np.where(valid, gathered, np.nan)
-
-
-class UnitScoresProvider:
-    """Batched accuracy provider ``users -> unit_scores_batch``."""
-
-    def __init__(self, recommender: Any, n: int) -> None:
-        self.recommender = recommender
-        self.n = int(n)
-
-    def __call__(self, users: np.ndarray) -> np.ndarray:
-        return self.recommender.unit_scores_batch(users, self.n)
-
-
-class ExclusionPairsProvider:
-    """Batched exclusion provider ``users -> (rows, cols)`` of train items."""
-
-    def __init__(self, train: Any) -> None:
-        self.train = train
-
-    def __call__(self, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.train.user_items_batch(users)
 
 
 class IndependentAssignTask:

@@ -1,20 +1,20 @@
 """Common interface of all accuracy recommenders.
 
-The primary scoring contract is **batched**: models score a whole block of
-users at once and the per-user views are thin slices of the batch path.
+Every model has one scoring definition, and it is **batched**:
 
-* ``predict_matrix(users)`` — raw model scores (predicted ratings, popularity
-  counts, associations, ...) for every item, one row per requested user.
-  Each concrete model implements this with matrix products / broadcasting
+* ``predict_matrix(users)`` — the abstract method: raw model scores
+  (predicted ratings, popularity counts, associations, ...) for every item,
+  one row per requested user, computed with matrix products / broadcasting
   instead of per-user loops.
 * ``unit_scores_batch(users, n)`` — the batch rows mapped onto ``[0, 1]``
   (row-wise min-max normalization by default), used as the accuracy term
   ``a(i)`` of the GANC value function (Eq. III.1).  The non-personalized
   ``Pop`` recommender overrides this with binary top-N membership, exactly as
   the paper specifies.
-* ``predict_scores(user, items)`` / ``score_all_items(user)`` /
-  ``unit_scores(user, n)`` — single-user convenience views over the same
-  computations.
+* ``score_all_items(user)`` / ``predict_scores(user, items)`` /
+  ``unit_scores(user, n)`` slice one-row blocks, and
+  ``predict_pairs(users, items)`` gathers ``(user, item)`` pairs from
+  blocks; none of them computes a score of its own.
 
 ``recommend`` and ``recommend_all`` always exclude the user's train items so
 that top-N sets follow the "all unrated items" protocol; ``recommend_all``
@@ -192,40 +192,54 @@ class Recommender(ParamsMixin, ABC):
     # ------------------------------------------------------------------ #
     # Scoring
     # ------------------------------------------------------------------ #
-    @abstractmethod
-    def predict_scores(self, user: int, items: np.ndarray) -> np.ndarray:
-        """Raw model scores of ``items`` for ``user`` (higher is better)."""
-
     def _resolve_users(self, users: np.ndarray | None) -> np.ndarray:
         """Normalize a ``users`` argument (``None`` means every user)."""
         if users is None:
             return np.arange(self.train_data.n_users, dtype=np.int64)
         return np.atleast_1d(np.asarray(users, dtype=np.int64))
 
+    @abstractmethod
     def predict_matrix(self, users: np.ndarray | None = None) -> np.ndarray:
         """Raw score rows for a block of users, shape ``(len(users), n_items)``.
 
-        ``users=None`` scores every user.  The returned array is always a
-        fresh, writable float64 block.  Concrete models override this with a
-        genuinely vectorized computation; this fallback stacks per-user
-        ``predict_scores`` rows so third-party subclasses keep working.
+        Higher is better.  ``users=None`` scores every user.  The returned
+        array is always a fresh, writable float64 block.  This is the one
+        scoring definition; every other score view slices it.
         """
-        self._check_fitted()
-        users = self._resolve_users(users)
-        n_items = self.train_data.n_items
-        if users.size == 0:
-            return np.empty((0, n_items), dtype=np.float64)
-        all_items = np.arange(n_items, dtype=np.int64)
-        return np.stack(
-            [
-                np.asarray(self.predict_scores(int(u), all_items), dtype=np.float64)
-                for u in users
-            ]
-        )
 
     def score_all_items(self, user: int) -> np.ndarray:
         """Raw scores of every item in the universe for ``user``."""
         return self.predict_matrix(np.asarray([user], dtype=np.int64))[0]
+
+    def predict_scores(self, user: int, items: np.ndarray) -> np.ndarray:
+        """Raw scores of ``items`` for ``user``: a slice of its one-row block."""
+        return self.score_all_items(user)[np.asarray(items, dtype=np.int64)]
+
+    def predict_pairs(
+        self,
+        users: np.ndarray,
+        items: np.ndarray,
+        *,
+        block_size: int | None = None,
+    ) -> np.ndarray:
+        """Raw scores of the pairs ``(users[j], items[j])``, in input order.
+
+        The distinct users are scored in blocks of ``block_size`` rows of
+        :meth:`predict_matrix` and each pair is gathered from its user's row,
+        so a repeated pair is returned once per occurrence.
+        """
+        users = np.asarray(users, dtype=np.int64)
+        items = np.asarray(items, dtype=np.int64)
+        out = np.empty(users.size, dtype=np.float64)
+        order = np.argsort(users, kind="stable")
+        distinct, starts = np.unique(users[order], return_index=True)
+        bounds = np.append(starts, users.size)
+        for block in iter_user_blocks(distinct.size, block_size):
+            block_users = distinct[block]
+            positions = order[bounds[block[0]] : bounds[block[-1] + 1]]
+            rows = np.searchsorted(block_users, users[positions])
+            out[positions] = self.predict_matrix(block_users)[rows, items[positions]]
+        return out
 
     def unit_scores_batch(self, users: np.ndarray | None, n: int) -> np.ndarray:
         """Accuracy scores ``a(i)`` in ``[0, 1]``, one row per user in the block.

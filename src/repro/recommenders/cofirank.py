@@ -108,13 +108,6 @@ class CofiRank(Recommender):
         self._mark_fitted(train)
         return self
 
-    def predict_scores(self, user: int, items: np.ndarray) -> np.ndarray:
-        """Predicted (mean-centered + offset) ratings for ``items``."""
-        self._check_fitted()
-        assert self.user_factors_ is not None and self.item_factors_ is not None
-        items = np.asarray(items, dtype=np.int64)
-        return self.global_mean_ + self.item_factors_[items] @ self.user_factors_[user]
-
     def predict_matrix(self, users: np.ndarray | None = None) -> np.ndarray:
         """Predicted rating rows for a block of users via one factor product."""
         self._check_fitted()

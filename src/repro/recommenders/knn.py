@@ -178,21 +178,6 @@ class ItemKNN(Recommender):
             self.similarity_ = sparse.csr_matrix(self.similarity_)
             self._abs_similarity = abs(self.similarity_)
 
-    def predict_scores(self, user: int, items: np.ndarray) -> np.ndarray:
-        """Similarity-weighted average of the user's ratings."""
-        self._check_fitted()
-        assert self.similarity_ is not None
-        items = np.asarray(items, dtype=np.int64)
-        rated_items, rated_values = self.train_data.user_ratings(user)
-        if rated_items.size == 0:
-            return np.zeros(items.size, dtype=np.float64)
-        sims = np.asarray(
-            self.similarity_[items][:, rated_items].toarray(), dtype=np.float64
-        )
-        weights = np.abs(sims).sum(axis=1)
-        weights[weights == 0.0] = 1.0
-        return np.asarray((sims @ rated_values) / weights, dtype=np.float64)
-
     def predict_matrix(self, users: np.ndarray | None = None) -> np.ndarray:
         """Neighbour-weighted score rows via two sparse products.
 

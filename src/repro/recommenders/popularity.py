@@ -73,13 +73,6 @@ class MostPopular(Recommender):
         assert self._popularity is not None
         return self._popularity
 
-    def predict_scores(self, user: int, items: np.ndarray) -> np.ndarray:
-        """Popularity scores (identical for every user)."""
-        self._check_fitted()
-        del user  # non-personalized
-        assert self._scores is not None
-        return self._scores[np.asarray(items, dtype=np.int64)]
-
     def predict_matrix(self, users: np.ndarray | None = None) -> np.ndarray:
         """One identical popularity row per requested user."""
         self._check_fitted()

@@ -61,13 +61,6 @@ class PureSVD(Recommender):
         self._mark_fitted(train)
         return self
 
-    def predict_scores(self, user: int, items: np.ndarray) -> np.ndarray:
-        """User-item association scores from the truncated reconstruction."""
-        self._check_fitted()
-        assert self.user_factors_ is not None and self.item_factors_ is not None
-        items = np.asarray(items, dtype=np.int64)
-        return self.item_factors_[items] @ self.user_factors_[user]
-
     def predict_matrix(self, users: np.ndarray | None = None) -> np.ndarray:
         """Reconstruction rows ``(U_k Σ_k V_k^T)`` for a block of users."""
         self._check_fitted()

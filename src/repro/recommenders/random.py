@@ -34,28 +34,18 @@ class RandomRecommender(Recommender):
         self._mark_fitted(train)
         return self
 
-    def _user_scores(self, user: int) -> np.ndarray:
-        assert self._base_seed is not None
-        user_rng = np.random.default_rng(self._base_seed + int(user))
-        return user_rng.random(self.train_data.n_items)
-
-    def predict_scores(self, user: int, items: np.ndarray) -> np.ndarray:
-        """Uniform random scores for ``items`` (deterministic per user+seed)."""
-        self._check_fitted()
-        return self._user_scores(user)[np.asarray(items, dtype=np.int64)]
-
     def predict_matrix(self, users: np.ndarray | None = None) -> np.ndarray:
-        """One uniform random row per user.
+        """One uniform random row per user, drawn from the user's own stream.
 
-        The per-user streams are what makes the model order-independent and
-        reproducible, so row generation is inherently per-user; the batch
-        path still amortizes all other per-call overhead, and each row is
-        bit-identical to the single-user stream.
+        The per-user streams make the model order-independent and
+        reproducible, and every row is the same whatever block it is
+        scored in.
         """
         self._check_fitted()
+        assert self._base_seed is not None
         users = self._resolve_users(users)
         n_items = self.train_data.n_items
         out = np.empty((users.size, n_items), dtype=np.float64)
         for row, user in enumerate(users):
-            out[row] = self._user_scores(int(user))
+            out[row] = np.random.default_rng(self._base_seed + int(user)).random(n_items)
         return out

@@ -206,19 +206,6 @@ class RSVD(Recommender):
         return float(np.dot(err, err))
 
     # ------------------------------------------------------------------ #
-    def predict_scores(self, user: int, items: np.ndarray) -> np.ndarray:
-        """Predicted ratings ``r̂_ui`` for the requested items."""
-        self._check_fitted()
-        assert self.user_factors_ is not None and self.item_factors_ is not None
-        assert self.user_bias_ is not None and self.item_bias_ is not None
-        items = np.asarray(items, dtype=np.int64)
-        return (
-            self.global_mean_
-            + self.user_bias_[user]
-            + self.item_bias_[items]
-            + self.item_factors_[items] @ self.user_factors_[user]
-        )
-
     def predict_matrix(self, users: np.ndarray | None = None) -> np.ndarray:
         """Predicted rating rows ``R̂`` for a block of users (all by default)."""
         self._check_fitted()
@@ -233,13 +220,13 @@ class RSVD(Recommender):
         )
 
     def rmse(self, dataset: RatingDataset) -> float:
-        """Root-mean-square error of the predictions on ``dataset``."""
+        """Root-mean-square error of the predictions on ``dataset``.
+
+        Every rating row counts once, repeated ``(user, item)`` pairs
+        included; predictions are gathered from blocked
+        :meth:`predict_matrix` rows.
+        """
         self._check_fitted()
-        preds = np.array(
-            [
-                self.predict_scores(int(u), np.asarray([i]))[0]
-                for u, i in zip(dataset.user_indices, dataset.item_indices)
-            ]
-        )
+        preds = self.predict_pairs(dataset.user_indices, dataset.item_indices)
         err = dataset.ratings - preds
         return float(np.sqrt(np.mean(err * err))) if err.size else float("nan")

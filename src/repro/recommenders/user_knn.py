@@ -14,9 +14,8 @@ materialized; each block's similarity rows walk exactly the float operations
 of the original full-gram implementation, so the result is bit-identical
 (scipy evaluates restricted products with the same per-entry accumulation
 order as the full product — the same guarantee the delta-refit layer relies
-on).  Up to ``dense_similarity_limit`` users the per-row top-k graph is
-stored dense, exactly as before; beyond it the rows are collected into a
-sparse CSR matrix and the score paths switch to sparse products.
+on).  The per-row top-k graph is stored as CSR and scored through
+sparse-sparse products, so only a block's score rows are ever dense.
 """
 
 from __future__ import annotations
@@ -32,6 +31,10 @@ from repro.recommenders.base import Recommender
 # ``block × n_users`` floats (×2 for the co-rating overlap counts).
 _FIT_BLOCK = 1024
 
+# Option of the removed dense similarity container, persisted by pipelines
+# saved while it existed.
+_LEGACY_ATTRIBUTES = ("dense_similarity_limit",)
+
 
 class UserKNN(Recommender):
     """User-user cosine KNN on mean-centered ratings.
@@ -45,12 +48,6 @@ class UserKNN(Recommender):
     min_overlap:
         Minimum number of co-rated items for a pair of users to be considered
         neighbours at all.
-    dense_similarity_limit:
-        Largest user count for which the top-k similarity graph is stored as
-        a dense ``|U| x |U|`` array (the original representation, byte-for-
-        byte).  Larger universes store the same rows as sparse CSR and score
-        through sparse products — the stored *values* are identical either
-        way; only the container changes.
     """
 
     def __init__(
@@ -59,7 +56,6 @@ class UserKNN(Recommender):
         *,
         shrinkage: float = 10.0,
         min_overlap: int = 1,
-        dense_similarity_limit: int = 20_000,
     ) -> None:
         super().__init__()
         if k < 1:
@@ -68,16 +64,10 @@ class UserKNN(Recommender):
             raise ConfigurationError(f"shrinkage must be non-negative, got {shrinkage}")
         if min_overlap < 1:
             raise ConfigurationError(f"min_overlap must be >= 1, got {min_overlap}")
-        if dense_similarity_limit < 0:
-            raise ConfigurationError(
-                f"dense_similarity_limit must be non-negative, got "
-                f"{dense_similarity_limit}"
-            )
         self.k = int(k)
         self.shrinkage = float(shrinkage)
         self.min_overlap = int(min_overlap)
-        self.dense_similarity_limit = int(dense_similarity_limit)
-        self.similarity_: np.ndarray | sparse.csr_matrix | None = None
+        self.similarity_: sparse.csr_matrix | None = None
         self.user_means_: np.ndarray | None = None
         self._centered = None
         self._indicator = None
@@ -87,8 +77,8 @@ class UserKNN(Recommender):
 
         The computation runs block-by-block over user rows; per-row float
         operations (normalization, shrinkage, overlap gate, top-k threshold
-        on ``|similarity|``) are those of the full-gram implementation, so a
-        dense-stored result is bit-identical to the historical one.
+        on ``|similarity|``) are those of a full-gram computation, so the kept
+        values equal the dense gram's bit for bit.
         """
         n_users = train.n_users
         matrix = train.to_csr().astype(np.float64)
@@ -119,15 +109,9 @@ class UserKNN(Recommender):
             diagonal_blocks.append(np.asarray(product).diagonal())
         norms = np.sqrt(np.maximum(np.concatenate(diagonal_blocks), 1e-12))
 
-        dense = n_users <= self.dense_similarity_limit
-        if dense:
-            similarity: np.ndarray | sparse.csr_matrix = np.zeros(
-                (n_users, n_users), dtype=np.float64
-            )
-        else:
-            sparse_rows: list[np.ndarray] = []
-            sparse_cols: list[np.ndarray] = []
-            sparse_vals: list[np.ndarray] = []
+        sparse_rows: list[np.ndarray] = []
+        sparse_cols: list[np.ndarray] = []
+        sparse_vals: list[np.ndarray] = []
 
         sparsify = self.k < n_users - 1
         for start in range(0, n_users, _FIT_BLOCK):
@@ -147,27 +131,18 @@ class UserKNN(Recommender):
                     if np.count_nonzero(row) > self.k:
                         threshold = np.partition(np.abs(row), -self.k)[-self.k]
                         row[np.abs(row) < threshold] = 0.0
-            if dense:
-                similarity[start:stop] = block
-            else:
-                nz_rows, nz_cols = np.nonzero(block)
-                sparse_rows.append(nz_rows + start)
-                sparse_cols.append(nz_cols)
-                sparse_vals.append(block[nz_rows, nz_cols])
+            nz_rows, nz_cols = np.nonzero(block)
+            sparse_rows.append(nz_rows + start)
+            sparse_cols.append(nz_cols)
+            sparse_vals.append(block[nz_rows, nz_cols])
 
-        if not dense:
-            similarity = sparse.csr_matrix(
-                (
-                    np.concatenate(sparse_vals) if sparse_vals else [],
-                    (
-                        np.concatenate(sparse_rows) if sparse_rows else [],
-                        np.concatenate(sparse_cols) if sparse_cols else [],
-                    ),
-                ),
-                shape=(n_users, n_users),
-            )
-
-        self.similarity_ = similarity
+        self.similarity_ = sparse.csr_matrix(
+            (
+                np.concatenate(sparse_vals),
+                (np.concatenate(sparse_rows), np.concatenate(sparse_cols)),
+            ),
+            shape=(n_users, n_users),
+        )
         self.user_means_ = means
         # Cache the mean-centered ratings and the binary rating indicator for
         # the batched score path (both sparse, U x I).
@@ -176,63 +151,35 @@ class UserKNN(Recommender):
         self._mark_fitted(train)
         return self
 
-    def predict_scores(self, user: int, items: np.ndarray) -> np.ndarray:
-        """Neighbour-weighted, mean-centered rating predictions."""
-        self._check_fitted()
-        assert self.similarity_ is not None and self.user_means_ is not None
-        items = np.asarray(items, dtype=np.int64)
-        if sparse.issparse(self.similarity_):
-            weights = np.asarray(self.similarity_[user].toarray()).ravel()
-        else:
-            weights = self.similarity_[user]
-        neighbours = np.flatnonzero(weights != 0.0)
-        if neighbours.size == 0:
-            return np.full(items.size, self.user_means_[user], dtype=np.float64)
+    def _upgrade_restored_state(self) -> None:
+        """Bring state saved with the dense similarity container to CSR.
 
-        csc = self.train_data.to_csc()
-        scores = np.full(items.size, self.user_means_[user], dtype=np.float64)
-        neighbour_means = self.user_means_
-        for position, item in enumerate(items):
-            start, stop = csc.indptr[item], csc.indptr[item + 1]
-            raters = csc.indices[start:stop]
-            ratings = csc.data[start:stop]
-            mask = np.isin(raters, neighbours)
-            if not mask.any():
-                continue
-            raters, ratings = raters[mask], ratings[mask]
-            sims = weights[raters]
-            denom = np.abs(sims).sum()
-            if denom <= 0:
-                continue
-            centered = ratings - neighbour_means[raters]
-            scores[position] = self.user_means_[user] + float(sims @ centered) / denom
-        return scores
+        Those pipelines stored ``similarity_`` as a dense ``|U| × |U|`` array
+        holding exactly the values the CSR graph holds, so converting it
+        serves the same bytes.
+        """
+        for name in _LEGACY_ATTRIBUTES:
+            vars(self).pop(name, None)
+        if isinstance(self.similarity_, np.ndarray):
+            self.similarity_ = sparse.csr_matrix(self.similarity_)
 
     def predict_matrix(self, users: np.ndarray | None = None) -> np.ndarray:
         """Neighbour predictions for a block of users via sparse products.
 
-        With the block's similarity rows ``W`` (dense or sparse, B x U), the
-        deviation numerator is ``W @ C`` against the cached mean-centered
-        rating matrix ``C`` and the weight mass is ``|W| @ B`` against the
-        binary rating indicator ``B``; items no neighbour rated fall back to
-        the user mean.  Sparse similarity rows keep both products
-        sparse-sparse, so only the block's score rows are ever densified.
+        With the block's similarity rows ``W`` (B x U), the deviation
+        numerator is ``W @ C`` against the cached mean-centered rating matrix
+        ``C`` and the weight mass is ``|W| @ B`` against the binary rating
+        indicator ``B``; items no neighbour rated fall back to the user mean.
+        Both products are sparse-sparse, so only the block's score rows are
+        ever densified.
         """
         self._check_fitted()
         assert self.similarity_ is not None and self.user_means_ is not None
         assert self._centered is not None and self._indicator is not None
         users = self._resolve_users(users)
         weights = self.similarity_[users]
-        if sparse.issparse(weights):
-            numerator = np.asarray(
-                (weights @ self._centered).toarray(), dtype=np.float64
-            )
-            mass = np.asarray(
-                (abs(weights) @ self._indicator).toarray(), dtype=np.float64
-            )
-        else:
-            numerator = np.asarray(weights @ self._centered, dtype=np.float64)
-            mass = np.asarray(np.abs(weights) @ self._indicator, dtype=np.float64)
+        numerator = np.asarray((weights @ self._centered).toarray(), dtype=np.float64)
+        mass = np.asarray((abs(weights) @ self._indicator).toarray(), dtype=np.float64)
         deviation = np.divide(
             numerator, mass, out=np.zeros_like(numerator), where=mass > 0.0
         )

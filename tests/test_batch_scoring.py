@@ -1,12 +1,15 @@
 """Batch-vs-loop equivalence of the vectorized scoring engine.
 
-The batched paths (``predict_matrix`` / ``unit_scores_batch`` /
-``recommend_all`` / the GANC blocked phases) must reproduce the per-user
-paths exactly: identical top-N item ids (including ``-1`` padding rows and
-stable index tie-breaking) for every registered recommender and both GANC
-optimizers.  Raw float score surfaces are additionally checked to BLAS
-reproducibility (a batch-of-1 matrix product may differ from a batched one
-by a few ulp, which never changes the selected items).
+``predict_matrix`` is every recommender's one scoring definition.  Its
+blocks (``unit_scores_batch`` / ``recommend_all`` / the GANC blocked phases)
+must reproduce one-user-at-a-time loops over the same definition exactly:
+identical top-N item ids (including ``-1`` padding rows and stable index
+tie-breaking) for every registered recommender and both GANC optimizers.
+Raw score rows are checked against in-file per-user oracles of each
+family's formula to BLAS reproducibility (a batched matrix product may
+differ from a matrix-vector one by a few ulp, which never changes the
+selected items), and bitwise across block sizes for the families that
+compute every row on its own.
 """
 
 from __future__ import annotations
@@ -21,13 +24,25 @@ from repro.data.dataset import RatingDataset
 from repro.ganc.framework import GANC, GANCConfig
 from repro.ganc.locally_greedy import LocallyGreedyOptimizer
 from repro.ganc.oslg import OSLGOptimizer
+from repro.ganc.value_function import combined_item_scores
 from repro.recommenders.base import Recommender
+from repro.recommenders.cofirank import CofiRank
+from repro.recommenders.knn import ItemKNN
+from repro.recommenders.popularity import MostPopular
+from repro.recommenders.puresvd import PureSVD
+from repro.recommenders.random import RandomRecommender
 from repro.recommenders.registry import make_recommender
+from repro.recommenders.rsvd import RSVD
+from repro.recommenders.user_knn import UserKNN
 from repro.registry import available
-from repro.utils.topn import top_n_indices, top_n_matrix
+from repro.utils.topn import iter_user_blocks, top_n_indices, top_n_matrix
 
 ALL_RECOMMENDERS = available("recommender")
 N = 5
+
+#: Families whose ``predict_matrix`` computes every row on its own, so their
+#: score bytes do not depend on the block a row is scored in.
+BLOCK_INVARIANT_SCORES = ("pop", "rand", "itemknn", "userknn")
 
 
 @pytest.fixture(scope="module")
@@ -96,10 +111,15 @@ def test_recommend_all_matches_per_user_loop(fitted_models, name):
 def test_recommend_all_is_block_size_invariant(fitted_models, name):
     model = fitted_models[name]
     reference = model.recommend_all(N).items
+    scores = model.predict_matrix()
     for block_size in (1, 7, 64):
         np.testing.assert_array_equal(
             model.recommend_all(N, block_size=block_size).items, reference
         )
+        if name in BLOCK_INVARIANT_SCORES:
+            blocks = iter_user_blocks(model.train_data.n_users, block_size)
+            rows = np.concatenate([model.predict_matrix(users) for users in blocks])
+            assert np.array_equal(rows, scores)
 
 
 @pytest.mark.parametrize("name", ALL_RECOMMENDERS)
@@ -122,13 +142,67 @@ def test_unit_scores_batch_bit_exact_for_non_gemm_models(fitted_models, name):
     np.testing.assert_array_equal(batch, loop)
 
 
+def _user_knn_row(model: UserKNN, user: int) -> np.ndarray:
+    """Mean plus the similarity-weighted centered ratings of the raters."""
+    weights = model.similarity_[user].toarray().ravel()
+    neighbours = np.flatnonzero(weights != 0.0)
+    csc = model.train_data.to_csc()
+    row = np.full(csc.shape[1], model.user_means_[user])
+    for item in range(csc.shape[1]):
+        raters = csc.indices[csc.indptr[item] : csc.indptr[item + 1]]
+        ratings = csc.data[csc.indptr[item] : csc.indptr[item + 1]]
+        mask = np.isin(raters, neighbours)
+        sims = weights[raters[mask]]
+        denom = np.abs(sims).sum()
+        if denom > 0:
+            centered = ratings[mask] - model.user_means_[raters[mask]]
+            row[item] += float(sims @ centered) / denom
+    return row
+
+
+def _item_knn_row(model: ItemKNN, user: int) -> np.ndarray:
+    """Similarity-weighted average of the user's ratings, item by item."""
+    rated_items, rated_values = model.train_data.user_ratings(user)
+    sims = model.similarity_[:, rated_items].toarray()
+    weights = np.abs(sims).sum(axis=1)
+    weights[weights == 0.0] = 1.0
+    return (sims @ rated_values) / weights
+
+
+def _per_user_row(model: Recommender, user: int) -> np.ndarray:
+    """One user's raw score row, recomputed from the fitted state."""
+    if isinstance(model, MostPopular):
+        n_items = model.popularity.size
+        return model.popularity - np.arange(n_items) / (10.0 * n_items)
+    if isinstance(model, RandomRecommender):
+        rng = np.random.default_rng(model._base_seed + user)
+        return rng.random(model.train_data.n_items)
+    if isinstance(model, PureSVD):
+        return model.item_factors_ @ model.user_factors_[user]
+    if isinstance(model, RSVD):
+        return (
+            model.global_mean_
+            + model.user_bias_[user]
+            + model.item_bias_
+            + model.item_factors_ @ model.user_factors_[user]
+        )
+    if isinstance(model, CofiRank):
+        return model.global_mean_ + model.item_factors_ @ model.user_factors_[user]
+    if isinstance(model, ItemKNN):
+        return _item_knn_row(model, user)
+    if isinstance(model, UserKNN):
+        return _user_knn_row(model, user)
+    raise AssertionError(f"no per-user oracle for {type(model).__name__}")
+
+
 @pytest.mark.parametrize("name", ALL_RECOMMENDERS)
 def test_predict_matrix_matches_base_fallback(fitted_models, name):
+    """``predict_matrix`` equals stacked per-user rows of the family's formula."""
     model = fitted_models[name]
     users = np.arange(0, model.train_data.n_users, 3)
     vectorized = model.predict_matrix(users)
-    fallback = Recommender.predict_matrix(model, users)
-    np.testing.assert_allclose(vectorized, fallback, rtol=0.0, atol=1e-12)
+    stacked = np.stack([_per_user_row(model, int(user)) for user in users])
+    np.testing.assert_allclose(vectorized, stacked, rtol=0.0, atol=1e-12)
 
 
 def test_recommend_accepts_precomputed_scores(fitted_models):
@@ -159,8 +233,9 @@ def test_tie_breaking_prefers_lower_item_index(tiny_dataset):
             self._mark_fitted(train)
             return self
 
-        def predict_scores(self, user, items):
-            return np.zeros(np.asarray(items).size, dtype=np.float64)
+        def predict_matrix(self, users=None):
+            users = self._resolve_users(users)
+            return np.zeros((users.size, self.train_data.n_items))
 
     model = ConstantScores().fit(tiny_dataset)
     batch = model.recommend_all(3)
@@ -172,16 +247,6 @@ def test_tie_breaking_prefers_lower_item_index(tiny_dataset):
 # --------------------------------------------------------------------- #
 # GANC optimizers
 # --------------------------------------------------------------------- #
-def _unit_providers(model, train, n):
-    def accuracy(user: int) -> np.ndarray:
-        return model.unit_scores(user, n)
-
-    def exclusions(user: int) -> np.ndarray:
-        return train.user_items(user)
-
-    return accuracy, exclusions
-
-
 @pytest.mark.parametrize("coverage_factory", [StaticCoverage, RandomCoverage])
 @pytest.mark.parametrize("name", ["pop", "psvd10", "rsvd"])
 def test_independent_branch_matches_sequential_loop(small_split, fitted_models, name, coverage_factory):
@@ -190,17 +255,15 @@ def test_independent_branch_matches_sequential_loop(small_split, fitted_models, 
     coverage = coverage_factory().fit(train)
     rng = np.random.default_rng(5)
     theta = rng.random(train.n_users)
-    accuracy, exclusions = _unit_providers(model, train, N)
+    accuracy = lambda users: model.unit_scores_batch(users, N)  # noqa: E731
     optimizer = LocallyGreedyOptimizer(coverage, N)
 
     batched = optimizer.run_independent(
-        theta,
-        lambda users: model.unit_scores_batch(users, N),
-        train.user_items_batch,
-        n_users=train.n_users,
-        block_size=17,
+        theta, accuracy, train.user_items_batch, n_users=train.n_users, block_size=17
     )
-    sequential = optimizer.run(theta, accuracy, exclusions, n_users=train.n_users)
+    sequential = optimizer.run(
+        theta, accuracy, train.user_items_batch, n_users=train.n_users
+    )
     np.testing.assert_array_equal(batched.items, sequential.items)
 
 
@@ -224,27 +287,26 @@ def test_oslg_snapshot_phase_matches_per_user_reference(small_split, fitted_mode
     model = fitted_models[name]
     rng = np.random.default_rng(9)
     theta = rng.random(train.n_users)
-    accuracy, exclusions = _unit_providers(model, train, N)
 
     batched = OSLGOptimizer(DynamicCoverage().fit(train), N, sample_size=20, seed=3).run(
         theta,
-        accuracy,
-        exclusions,
-        accuracy_matrix=lambda users: model.unit_scores_batch(users, N),
-        exclusion_pairs=train.user_items_batch,
+        lambda users: model.unit_scores_batch(users, N),
+        train.user_items_batch,
         block_size=13,
     )
 
-    # Per-user reference: identical sequential pass (same seed), then the
-    # historical one-user-at-a-time snapshot assignment.
-    reference_optimizer = OSLGOptimizer(DynamicCoverage().fit(train), N, sample_size=20, seed=3)
+    # Per-user reference: identical sequential pass (same seed), then a
+    # one-user-at-a-time assignment against each frozen snapshot.
     sampled = batched.sampled_users
     out = np.full((train.n_users, N), -1, dtype=np.int64)
-    coverage = reference_optimizer.coverage
+    coverage = DynamicCoverage().fit(train)
     greedy = LocallyGreedyOptimizer(coverage, N)
     for user in sampled:
         items = greedy.assign_user(
-            int(user), float(theta[user]), accuracy(int(user)), exclusions(int(user))
+            int(user),
+            float(theta[user]),
+            model.unit_scores(int(user), N),
+            train.user_items(int(user)),
         )
         out[user, : items.size] = items
         coverage.update(items)
@@ -254,35 +316,15 @@ def test_oslg_snapshot_phase_matches_per_user_reference(small_split, fitted_mode
     remaining = np.setdiff1d(np.arange(train.n_users), sampled)
     for user in remaining:
         nearest = int(np.argmin(np.abs(sampled_theta - theta[user])))
-        items = reference_optimizer._assign_with_snapshot(
-            int(user),
+        values = combined_item_scores(
+            model.unit_scores(int(user), N),
+            DynamicCoverage.snapshot_scores(batched.snapshots[nearest]),
             float(theta[user]),
-            accuracy(int(user)),
-            exclusions(int(user)),
-            batched.snapshots[nearest],
         )
+        values[train.user_items(int(user))] = -np.inf
+        items = top_n_indices(values, N)
         out[user, : items.size] = items
     np.testing.assert_array_equal(out, batched.top_n.items)
-
-
-def test_oslg_batched_providers_match_stacked_fallback(small_split, fitted_models):
-    train = small_split.train
-    model = fitted_models["pop"]
-    rng = np.random.default_rng(11)
-    theta = rng.random(train.n_users)
-    accuracy, exclusions = _unit_providers(model, train, N)
-
-    with_batch = OSLGOptimizer(DynamicCoverage().fit(train), N, sample_size=15, seed=4).run(
-        theta,
-        accuracy,
-        exclusions,
-        accuracy_matrix=lambda users: model.unit_scores_batch(users, N),
-        exclusion_pairs=train.user_items_batch,
-    )
-    fallback = OSLGOptimizer(DynamicCoverage().fit(train), N, sample_size=15, seed=4).run(
-        theta, accuracy, exclusions
-    )
-    np.testing.assert_array_equal(with_batch.top_n.items, fallback.top_n.items)
 
 
 @pytest.mark.parametrize("coverage_name", ["static", "dynamic"])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.data.dataset import RatingDataset
 from repro.evaluation.protocols import (
     AllUnratedItemsProtocol,
     RatedTestItemsProtocol,
@@ -12,8 +13,10 @@ from repro.evaluation.protocols import (
 )
 from repro.exceptions import ConfigurationError
 from repro.metrics.report import evaluate_top_n
+from repro.recommenders.knn import ItemKNN
 from repro.recommenders.popularity import MostPopular
 from repro.recommenders.random import RandomRecommender
+from repro.utils.topn import top_n_indices
 
 
 def test_make_protocol_names():
@@ -50,6 +53,33 @@ def test_rated_test_protocol_orders_by_model_score(small_split):
             continue
         scores = model.predict_scores(user, items)
         assert np.all(np.diff(scores) <= 1e-9)
+
+
+@pytest.mark.parametrize("block_size", [None, 1, 7])
+def test_rated_test_protocol_ranks_predict_matrix_rows(small_split, block_size):
+    """Each user's test items, ranked by their ``predict_matrix`` row (ties
+    by candidate order), whatever the block size; user 0 has none."""
+    model = ItemKNN(20).fit(small_split.train)
+    full = small_split.test
+    keep = full.user_indices != 0
+    test = RatingDataset(
+        full.user_indices[keep],
+        full.item_indices[keep],
+        full.ratings[keep],
+        n_users=full.n_users,
+        n_items=full.n_items,
+    )
+    recs = RatedTestItemsProtocol().top_n(
+        model, small_split.train, test, 5, block_size=block_size
+    )
+    matrix = model.predict_matrix()
+    assert set(recs) == set(range(test.n_users))
+    for user in range(test.n_users):
+        candidates = test.user_items(user)
+        expected = candidates[top_n_indices(matrix[user, candidates], 5)]
+        np.testing.assert_array_equal(recs[user], expected)
+        assert recs[user].dtype == np.int64
+    assert recs[0].size == 0
 
 
 def test_rated_test_protocol_handles_users_without_test_items(tiny_dataset):

@@ -12,14 +12,22 @@ from repro.ganc.locally_greedy import LocallyGreedyOptimizer
 
 
 def _providers(train):
-    def accuracy(user: int) -> np.ndarray:
-        rng = np.random.default_rng(100 + user)
-        return rng.random(train.n_items)
+    def accuracy(users: np.ndarray) -> np.ndarray:
+        return np.stack(
+            [np.random.default_rng(100 + int(user)).random(train.n_items) for user in users]
+        )
 
-    def exclusions(user: int) -> np.ndarray:
-        return train.user_items(user)
+    return accuracy, train.user_items_batch
 
-    return accuracy, exclusions
+
+def _constant(row: np.ndarray):
+    """Accuracy provider giving every user of a block the same row."""
+    return lambda users: np.tile(row, (np.asarray(users).size, 1))
+
+
+def _no_exclusions(users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    empty = np.empty(0, dtype=np.int64)
+    return empty, empty
 
 
 def test_constructor_validation(tiny_dataset):
@@ -56,8 +64,8 @@ def test_run_never_recommends_train_items(small_split):
 
 def test_dynamic_state_is_updated_between_users(tiny_dataset):
     coverage = DynamicCoverage().fit(tiny_dataset)
-    accuracy = lambda u: np.zeros(tiny_dataset.n_items)
-    exclusions = lambda u: np.empty(0, dtype=np.int64)
+    accuracy = _constant(np.zeros(tiny_dataset.n_items))
+    exclusions = _no_exclusions
     LocallyGreedyOptimizer(coverage, 2).run(
         np.ones(tiny_dataset.n_users), accuracy, exclusions
     )
@@ -68,8 +76,8 @@ def test_dynamic_state_is_updated_between_users(tiny_dataset):
 def test_pure_coverage_users_spread_across_items(tiny_dataset):
     """θ=1 users with zero accuracy signal should avoid re-recommending items."""
     coverage = DynamicCoverage().fit(tiny_dataset)
-    accuracy = lambda u: np.zeros(tiny_dataset.n_items)
-    exclusions = lambda u: np.empty(0, dtype=np.int64)
+    accuracy = _constant(np.zeros(tiny_dataset.n_items))
+    exclusions = _no_exclusions
     result = LocallyGreedyOptimizer(coverage, 1).run(
         np.ones(tiny_dataset.n_users), accuracy, exclusions
     )
@@ -81,8 +89,8 @@ def test_pure_coverage_users_spread_across_items(tiny_dataset):
 def test_pure_accuracy_users_ignore_coverage(tiny_dataset):
     coverage = DynamicCoverage().fit(tiny_dataset)
     scores = np.linspace(1.0, 0.0, tiny_dataset.n_items)
-    accuracy = lambda u: scores
-    exclusions = lambda u: np.empty(0, dtype=np.int64)
+    accuracy = _constant(scores)
+    exclusions = _no_exclusions
     result = LocallyGreedyOptimizer(coverage, 1).run(
         np.zeros(tiny_dataset.n_users), accuracy, exclusions
     )
@@ -107,8 +115,8 @@ def test_static_coverage_is_order_independent(small_split):
 
 def test_user_order_must_be_a_permutation(tiny_dataset):
     coverage = DynamicCoverage().fit(tiny_dataset)
-    accuracy = lambda u: np.zeros(tiny_dataset.n_items)
-    exclusions = lambda u: np.empty(0, dtype=np.int64)
+    accuracy = _constant(np.zeros(tiny_dataset.n_items))
+    exclusions = _no_exclusions
     optimizer = LocallyGreedyOptimizer(coverage, 1)
     with pytest.raises(ConfigurationError):
         optimizer.run(np.ones(4), accuracy, exclusions, user_order=[0, 1, 1, 2])

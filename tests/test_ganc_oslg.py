@@ -13,14 +13,12 @@ from repro.preferences.generalized import GeneralizedPreference
 
 
 def _providers(train, seed: int = 0):
-    def accuracy(user: int) -> np.ndarray:
-        rng = np.random.default_rng(seed + user)
-        return rng.random(train.n_items)
+    def accuracy(users: np.ndarray) -> np.ndarray:
+        return np.stack(
+            [np.random.default_rng(seed + int(user)).random(train.n_items) for user in users]
+        )
 
-    def exclusions(user: int) -> np.ndarray:
-        return train.user_items(user)
-
-    return accuracy, exclusions
+    return accuracy, train.user_items_batch
 
 
 def test_oslg_requires_dynamic_coverage(tiny_dataset):

@@ -16,6 +16,11 @@ from repro.ganc.submodular import (
 )
 
 
+def _no_exclusions(users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    empty = np.empty(0, dtype=np.int64)
+    return empty, empty
+
+
 def _tiny_problem():
     """A 3-user, 4-item instance small enough for brute force."""
     rng = np.random.default_rng(0)
@@ -104,8 +109,8 @@ def test_locally_greedy_achieves_half_of_optimum():
     optimizer = LocallyGreedyOptimizer(coverage, n)
     greedy = optimizer.run(
         theta,
-        lambda u: accuracy[u],
-        lambda u: np.empty(0, dtype=np.int64),
+        lambda users: np.stack([accuracy[int(u)] for u in users]),
+        _no_exclusions,
         n_users=n_users,
     )
     greedy_assignment = {u: greedy.for_user(u) for u in range(n_users)}
@@ -132,8 +137,8 @@ def test_locally_greedy_half_bound_across_random_instances():
         coverage = DynamicCoverage().fit(data)
         greedy = LocallyGreedyOptimizer(coverage, n).run(
             theta,
-            lambda u: accuracy[u],
-            lambda u: np.empty(0, dtype=np.int64),
+            lambda users: np.stack([accuracy[int(u)] for u in users]),
+            _no_exclusions,
             n_users=n_users,
         )
         greedy_value = dynamic_coverage_value(

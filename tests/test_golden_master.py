@@ -6,6 +6,8 @@ fast experiment configuration:
 * ``table4_ml100k.json`` — the Table IV re-ranking comparison rows
   (all nine algorithms, metrics + ranks) on the ML-100K surrogate,
 * ``figure6_ml100k.json`` — the Figure 6 accuracy/coverage/novelty points,
+* ``figure7_8_ml100k.json`` — the Figures 7/8 protocol comparison (both
+  ranking protocols) for the default panel plus ItemKNN and UserKNN,
 * ``ml100k_tiny_metrics.json`` / ``ml100k_tiny_top5.csv`` — the metric
   report and full top-5 CSV of the ``examples/specs/ml100k_tiny.json``
   pipeline spec (the same spec the CI smoke jobs execute),
@@ -35,6 +37,7 @@ import scipy
 
 from repro.data.io import save_recommendations_csv
 from repro.experiments.figure6 import run_figure6_for_dataset
+from repro.experiments.figure7_8 import FIGURE7_8_ALGORITHMS, run_protocol_comparison
 from repro.experiments.table4 import run_table4_for_dataset
 from repro.pipeline import Pipeline
 
@@ -80,6 +83,27 @@ def generate_figure6() -> bytes:
             {
                 "dataset": point.dataset,
                 "algorithm": point.algorithm,
+                "metrics": point.report.as_dict(),
+            }
+            for point in points
+        ]
+    )
+
+
+def generate_figure7_8() -> bytes:
+    """Figures 7/8 on ML-100K: metrics per (algorithm, ranking protocol)."""
+    points = run_protocol_comparison(
+        "ml100k",
+        algorithms=FIGURE7_8_ALGORITHMS + ("itemknn", "userknn"),
+        scale=SCALE,
+        seed=SEED,
+    )
+    return _as_json_bytes(
+        [
+            {
+                "dataset": point.dataset,
+                "algorithm": point.algorithm,
+                "protocol": point.protocol,
                 "metrics": point.report.as_dict(),
             }
             for point in points
@@ -135,11 +159,7 @@ def generate_oslg_tiny() -> bytes:
         DynamicCoverage().fit(train), 5, sample_size=12, seed=SEED
     )
     result = optimizer.run(
-        theta,
-        lambda user: model.unit_scores(user, 5),
-        train.user_items,
-        accuracy_matrix=lambda users: model.unit_scores_batch(users, 5),
-        exclusion_pairs=train.user_items_batch,
+        theta, lambda users: model.unit_scores_batch(users, 5), train.user_items_batch
     )
     final_counts = result.snapshot_log.counts_at(result.snapshot_log.n_steps - 1)
     return _as_json_bytes(
@@ -220,6 +240,7 @@ def generate_itemknn_ganc_tiny() -> bytes:
 FIXTURES = {
     "table4_ml100k.json": generate_table4,
     "figure6_ml100k.json": generate_figure6,
+    "figure7_8_ml100k.json": generate_figure7_8,
     "ml100k_tiny_metrics.json": generate_tiny_metrics,
     "ml100k_tiny_top5.csv": generate_tiny_top5,
     "oslg_tiny.json": generate_oslg_tiny,
@@ -277,6 +298,10 @@ def test_table4_golden_master():
 
 def test_figure6_golden_master():
     _check("figure6_ml100k.json")
+
+
+def test_figure7_8_golden_master():
+    _check("figure7_8_ml100k.json")
 
 
 def test_ml100k_tiny_metrics_golden_master():

@@ -17,13 +17,7 @@ from repro.evaluation.evaluator import Evaluator
 from repro.exceptions import ConfigurationError
 from repro.ganc.framework import GANC, GANCConfig
 from repro.ganc.locally_greedy import LocallyGreedyOptimizer
-from repro.parallel import (
-    ExclusionPairsProvider,
-    Executor,
-    UnitScoresProvider,
-    effective_n_jobs,
-    resolve_executor,
-)
+from repro.parallel import Executor, effective_n_jobs, resolve_executor
 from repro.pipeline import (
     ComponentSpec,
     DatasetSpec,
@@ -151,21 +145,6 @@ def test_spawn_seed_sequences_rejects_negative_count():
 
 
 # --------------------------------------------------------------------------- #
-# Providers
-# --------------------------------------------------------------------------- #
-def test_providers_match_the_batched_sources(small_split):
-    model = make_recommender("pop").fit(small_split.train)
-    users = np.arange(0, small_split.train.n_users, 2)
-    scores = UnitScoresProvider(model, N)
-    np.testing.assert_array_equal(scores(users), model.unit_scores_batch(users, N))
-    pairs = ExclusionPairsProvider(small_split.train)
-    expected_rows, expected_cols = small_split.train.user_items_batch(users)
-    rows, cols = pairs(users)
-    np.testing.assert_array_equal(rows, expected_rows)
-    np.testing.assert_array_equal(cols, expected_cols)
-
-
-# --------------------------------------------------------------------------- #
 # recommend_all equivalence: every registered recommender, every worker count
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("name", sorted(available("recommender")))
@@ -227,16 +206,14 @@ def test_run_independent_executor_matches_sequential_run(small_split):
     model = make_recommender("pop").fit(small_split.train)
     theta = GeneralizedPreference().estimate(small_split.train).theta
     optimizer = LocallyGreedyOptimizer(coverage, N)
-    sequential = optimizer.run(
-        theta,
-        lambda u: model.unit_scores(u, N),
-        small_split.train.user_items,
-    ).items
+    accuracy = lambda users: model.unit_scores_batch(users, N)  # noqa: E731
+    exclusions = small_split.train.user_items_batch
+    sequential = optimizer.run(theta, accuracy, exclusions).items
     for n_jobs in PARALLEL_JOBS:
         parallel = optimizer.run_independent(
             theta,
-            UnitScoresProvider(model, N),
-            ExclusionPairsProvider(small_split.train),
+            accuracy,
+            exclusions,
             block_size=9,
             executor=Executor(n_jobs),
         ).items

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, NotFittedError
-from repro.recommenders.base import FittedTopN
+from repro.recommenders.base import FittedTopN, Recommender
 from repro.recommenders.popularity import MostPopular
 from repro.recommenders.random import RandomRecommender
+from repro.recommenders.registry import make_recommender
 
 
 def test_unfitted_recommender_raises(tiny_dataset):
@@ -91,3 +92,37 @@ def test_fitted_topn_as_dict_drops_padding():
 def test_fitted_topn_rejects_1d_array():
     with pytest.raises(ConfigurationError):
         FittedTopN(items=np.array([1, 2, 3]))
+
+
+def test_subclass_must_implement_predict_matrix():
+    """``predict_matrix`` is the one abstract scoring method."""
+
+    class PerUserOnly(Recommender):
+        def fit(self, train):
+            self._mark_fitted(train)
+            return self
+
+        def predict_scores(self, user, items):
+            return np.zeros(np.asarray(items).size)
+
+    with pytest.raises(TypeError, match="predict_matrix"):
+        PerUserOnly()
+
+
+@pytest.mark.parametrize("name", ["pop", "rand", "itemknn", "userknn"])
+def test_score_views_slice_predict_matrix(small_split, name):
+    """Per-user and per-pair views gather from ``predict_matrix`` rows."""
+    model = make_recommender(name).fit(small_split.train)
+    matrix = model.predict_matrix()
+    items = np.array([5, 0, 5, 17], dtype=np.int64)
+    assert np.array_equal(model.predict_scores(3, items), matrix[3, items])
+    test = small_split.test
+    for block_size in (None, 1, 7):
+        pairs = model.predict_pairs(
+            test.user_indices, test.item_indices, block_size=block_size
+        )
+        assert np.array_equal(pairs, matrix[test.user_indices, test.item_indices])
+    assert model.predict_pairs(np.array([4, 2, 4]), np.array([1, 1, 1])).tolist() == [
+        matrix[4, 1], matrix[2, 1], matrix[4, 1]
+    ]
+    assert model.predict_pairs(np.empty(0), np.empty(0)).shape == (0,)

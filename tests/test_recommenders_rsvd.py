@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.data.dataset import RatingDataset
 from repro.exceptions import ConfigurationError
 from repro.recommenders.rsvd import RSVD
 
@@ -62,11 +63,41 @@ def test_non_negative_projection(small_split):
     assert model.item_factors_.min() >= 0.0
 
 
+def _pointwise(model, users, items):
+    """The rating formula evaluated pair by pair from the fitted factors."""
+    return (
+        model.global_mean_
+        + model.user_bias_[users]
+        + model.item_bias_[items]
+        + np.einsum("ij,ij->i", model.user_factors_[users], model.item_factors_[items])
+    )
+
+
 def test_predict_matrix_matches_pointwise(small_split):
-    model = RSVD(n_factors=5, n_epochs=5, seed=0).fit(small_split.train)
+    model = RSVD(n_factors=5, n_epochs=5, seed=0, use_biases=True).fit(small_split.train)
     matrix = model.predict_matrix()
     items = np.arange(small_split.train.n_items)
-    np.testing.assert_allclose(matrix[3], model.predict_scores(3, items))
+    np.testing.assert_allclose(
+        matrix[3], _pointwise(model, np.full(items.size, 3), items), rtol=0.0, atol=1e-12
+    )
+
+
+def test_rmse_counts_every_rating_row_once(small_split):
+    """Repeated (user, item) rows each count, in the dataset's own order."""
+    model = RSVD(n_factors=5, n_epochs=5, seed=0).fit(small_split.train)
+    test = small_split.test
+    repeated = RatingDataset(
+        np.concatenate([test.user_indices, test.user_indices[:40]]),
+        np.concatenate([test.item_indices, test.item_indices[:40]]),
+        np.concatenate([test.ratings, test.ratings[:40] + 1.0]),
+        n_users=test.n_users,
+        n_items=test.n_items,
+    )
+    err = repeated.ratings - _pointwise(model, repeated.user_indices, repeated.item_indices)
+    np.testing.assert_allclose(
+        model.rmse(repeated), np.sqrt(np.mean(err * err)), rtol=1e-12
+    )
+    assert model.rmse(repeated) != model.rmse(test)
 
 
 def test_rmse_on_test_split(small_split):

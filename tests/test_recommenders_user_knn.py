@@ -23,9 +23,15 @@ def test_registry_builds_user_knn():
     assert isinstance(make_recommender("userknn", k=10), UserKNN)
 
 
+def test_removed_dense_similarity_limit_is_rejected():
+    """The dense container and its option are gone; naming it fails loudly."""
+    with pytest.raises(ConfigurationError, match="dense_similarity_limit"):
+        make_recommender("userknn", dense_similarity_limit=0)
+
+
 def test_similarity_diagonal_is_zero(small_split):
     model = UserKNN(k=10).fit(small_split.train)
-    assert np.allclose(np.diag(model.similarity_), 0.0)
+    assert np.allclose(model.similarity_.diagonal(), 0.0)
 
 
 def test_similar_users_drive_predictions(tiny_dataset):
@@ -69,7 +75,7 @@ def test_cold_user_falls_back_to_mean():
 def test_min_overlap_filters_weak_neighbours(small_split):
     permissive = UserKNN(k=30, min_overlap=1).fit(small_split.train)
     strict = UserKNN(k=30, min_overlap=5).fit(small_split.train)
-    assert np.count_nonzero(strict.similarity_) <= np.count_nonzero(permissive.similarity_)
+    assert strict.similarity_.count_nonzero() <= permissive.similarity_.count_nonzero()
 
 
 def test_fit_is_deterministic(small_split):

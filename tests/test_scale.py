@@ -8,9 +8,9 @@ This file is that pin:
   in-memory :meth:`RatingDataset.from_interactions` dataset *bit-identically*
   — id maps, interaction order, split membership, batch gathers — at every
   shard size, including the ``append`` path vs a single ingest,
-* the blocked gram scan of :class:`ItemKNN` (and the sparse container of
-  :class:`UserKNN`) must store the same similarity values as a dense-gram
-  reference and score identically,
+* the blocked gram scan of :class:`ItemKNN` must store the same similarity
+  values as a dense-gram reference and score identically, and pipelines
+  saved with a dense similarity array (either KNN) must load as CSR,
 * float32 scoring is gated on a documented tolerance (``FLOAT32_ATOL``) and
   on rank stability: any item that enters/leaves a top-N list under float32
   must be a float64 near-tie within that tolerance,
@@ -369,15 +369,6 @@ def test_scan_recommendations_identical_to_exact(clustered):
     scan = ItemKNN(10).fit(train)
     dense = _dense_knn(train, 10)
     assert np.array_equal(scan.predict_matrix(), _dense_knn_scores(train, dense))
-    items = np.arange(train.n_items)
-    for user in train.users_with_ratings()[:5]:
-        rated_items, rated_values = train.user_ratings(int(user))
-        sims = dense[np.ix_(items, rated_items)]
-        weights = np.abs(sims).sum(axis=1)
-        weights[weights == 0.0] = 1.0
-        assert np.array_equal(
-            scan.predict_scores(int(user), items), (sims @ rated_values) / weights
-        )
 
 
 def test_one_item_dataset_scores_zero():
@@ -394,16 +385,38 @@ def test_one_item_dataset_scores_zero():
     ]
 
 
-def test_user_knn_sparse_container_bit_identical(clustered):
-    dense = UserKNN(10).fit(clustered)
-    sparse_mode = UserKNN(10, dense_similarity_limit=0).fit(clustered)
-    assert isinstance(dense.similarity_, np.ndarray)
-    assert sparse.issparse(sparse_mode.similarity_)
-    assert np.array_equal(sparse_mode.similarity_.toarray(), dense.similarity_)
-    users = clustered.users_with_ratings()
-    assert np.array_equal(
-        dense.recommend_block(users, 10), sparse_mode.recommend_block(users, 10)
+def test_user_knn_dense_state_restores_as_csr(tmp_path):
+    """A pipeline saved with the dense ``|U| x |U|`` similarity array (and the
+    ``dense_similarity_limit`` option that selected it) loads as CSR and
+    serves the rows of a fresh fit."""
+    spec = PipelineSpec(
+        recommender=ComponentSpec("userknn", params={"k": 10}),
+        dataset=DatasetSpec(key="ml100k", scale=0.1),
+        evaluation=EvaluationSpec(n=5),
+        seed=0,
     )
+    fitted = Pipeline(spec).fit()
+    fitted.save(tmp_path)
+    graph = fitted.recommender.similarity_
+
+    state = dict(np.load(tmp_path / "state.npz"))
+    for part in ("data", "indices", "indptr"):
+        del state[f"recommender.similarity_::{part}"]
+    state["recommender.similarity_"] = graph.toarray()
+    np.savez_compressed(tmp_path / "state.npz", **state)
+    manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+    meta = manifest["recommender"]["meta"]
+    del meta["similarity_"]
+    meta["dense_similarity_limit"] = 20_000
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+    restored = Pipeline.load(tmp_path).recommender
+    assert "dense_similarity_limit" not in vars(restored)
+    assert sparse.isspmatrix_csr(restored.similarity_)
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(restored.similarity_, part), getattr(graph, part))
+    assert np.array_equal(restored.predict_matrix(), fitted.recommender.predict_matrix())
+    assert restored.get_params() == fitted.recommender.get_params()
 
 
 def test_sketch_parameter_validation():
