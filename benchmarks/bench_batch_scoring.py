@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -32,6 +31,7 @@ from repro.ganc.locally_greedy import LocallyGreedyOptimizer
 from repro.recommenders.base import Recommender
 from repro.recommenders.registry import make_recommender
 
+import bench_json
 from bench_json import write_bench_json
 
 N = 5
@@ -65,9 +65,13 @@ def _time(fn, *, repeats: int = 1) -> tuple[float, object]:
     return best, result
 
 
-def bench_recommenders(train, repeats: int, lines: list[str]) -> dict[str, float]:
+def bench_recommenders(
+    train, repeats: int, lines: list[str]
+) -> tuple[dict[str, float], bool]:
+    """Per-model speedups, and whether every model's two paths agreed."""
     n_users = train.n_users
     speedups: dict[str, float] = {}
+    all_equal = True
     header = (
         f"{'model':<10} {'loop_s':>9} {'batch_s':>9} {'speedup':>8} "
         f"{'loop_u/s':>10} {'batch_u/s':>11}  equal"
@@ -80,22 +84,24 @@ def bench_recommenders(train, repeats: int, lines: list[str]) -> dict[str, float
         loop_s, loop_items = _time(lambda: _loop_recommend_all(model, N), repeats=repeats)
         batch_s, batch_top = _time(lambda: model.recommend_all(N), repeats=repeats)
         equal = bool(np.array_equal(loop_items, batch_top.items))
+        all_equal = all_equal and equal
         speedup = loop_s / batch_s if batch_s > 0 else float("inf")
         speedups[name] = speedup
         lines.append(
             f"{name:<10} {loop_s:>9.4f} {batch_s:>9.4f} {speedup:>7.1f}x "
             f"{n_users / loop_s:>10.0f} {n_users / batch_s:>11.0f}  {equal}"
         )
-    return speedups
+    return speedups, all_equal
 
 
-def bench_ganc(train, repeats: int, lines: list[str]) -> dict[str, float]:
+def bench_ganc(train, repeats: int, lines: list[str]) -> tuple[dict[str, float], bool]:
+    """The GANC leg's speedup, and whether its two paths agreed."""
     theta = np.random.default_rng(0).random(train.n_users)
     model = make_recommender("pop").fit(train)
     model.recommend_all(N)
 
-    def accuracy_matrix(users: np.ndarray) -> np.ndarray:
-        return model.unit_scores_batch(users, N)
+    def accuracy_matrix(users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return model.unit_scores_pair(users, N)
 
     lines.append("")
     header = f"{'ganc phase':<28} {'loop_s':>9} {'batch_s':>9} {'speedup':>8}  equal"
@@ -122,7 +128,7 @@ def bench_ganc(train, repeats: int, lines: list[str]) -> dict[str, float]:
         f"{'locally_greedy (Stat)':<28} {greedy_loop_s:>9.4f} {greedy_batch_s:>9.4f} "
         f"{greedy_loop_s / greedy_batch_s:>7.1f}x  {equal}"
     )
-    return {"locally_greedy_stat": greedy_loop_s / greedy_batch_s}
+    return {"locally_greedy_stat": greedy_loop_s / greedy_batch_s}, equal
 
 
 def main(argv=None) -> int:
@@ -147,8 +153,8 @@ def main(argv=None) -> int:
         f"top-{N})",
         "",
     ]
-    speedups = bench_recommenders(train, args.repeats, lines)
-    ganc_speedups = bench_ganc(train, args.repeats, lines)
+    speedups, recommenders_equal = bench_recommenders(train, args.repeats, lines)
+    ganc_speedups, ganc_equal = bench_ganc(train, args.repeats, lines)
 
     mean_speedup = float(np.mean(list(speedups.values())))
     lines.append("")
@@ -156,7 +162,7 @@ def main(argv=None) -> int:
 
     text = "\n".join(lines)
     print(text)
-    out_dir = Path(__file__).parent / "output"
+    out_dir = bench_json.OUTPUT_DIR
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "bench_batch_scoring.txt").write_text(text + "\n", encoding="utf-8")
     write_bench_json(
@@ -174,7 +180,7 @@ def main(argv=None) -> int:
             **{f"recommend_all_{name}": value for name, value in speedups.items()},
             **ganc_speedups,
         },
-        equal=True,
+        equal=recommenders_equal and ganc_equal,
     )
 
     if args.min_speedup and mean_speedup < args.min_speedup:

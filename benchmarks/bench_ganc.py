@@ -146,7 +146,7 @@ def bench_model(name, train, theta, n, sample_size, seed, repeats, lines, metric
     model = make_recommender(name).fit(train)
     model.unit_scores_batch(np.arange(min(8, train.n_users)), n)  # warm caches
 
-    accuracy_matrix = lambda users: model.unit_scores_batch(users, n)  # noqa: E731
+    accuracy_matrix = lambda users: model.unit_scores_pair(users, n)  # noqa: E731
 
     # Fix the sample once so both sequential passes serve identical users.
     probe = OSLGOptimizer(
@@ -170,7 +170,12 @@ def bench_model(name, train, theta, n, sample_size, seed, repeats, lines, metric
         coverage = DynamicCoverage().fit(train)
         out = np.full((train.n_users, n), -1, dtype=np.int64)
         SequentialAssigner(coverage, n).run(
-            out, sampled, theta, accuracy_matrix, train.user_items_batch
+            out,
+            sampled,
+            theta,
+            accuracy_matrix,
+            train.user_items_batch,
+            scores=np.full(out.shape, np.nan),
         )
         return out
 

@@ -206,11 +206,13 @@ class GANC:
     def recommend_all(self, n: int) -> FittedTopN:
         """Assign a top-``n`` set to every user by maximizing Eq. III.2.
 
-        Every phase reads accuracy rows from ``unit_scores_batch`` and
+        Every phase reads accuracy rows from ``unit_scores_pair`` and
         exclusions from ``user_items_batch``, ``config.block_size`` users at
         a time; all independent-user work — the whole assignment under
         stateless coverage, and the snapshot phase of OSLG — runs as blocked
-        matrix operations.
+        matrix operations.  The returned collection carries the accuracy
+        recommender's raw scores of the assigned items, read from the same
+        blocks (:attr:`FittedTopN.scores`).
 
         Not safe for concurrent calls on the same instance when coverage is
         dynamic: the sequential optimizers reset and mutate the shared
@@ -222,7 +224,7 @@ class GANC:
         if n < 1:
             raise ConfigurationError(f"n must be >= 1, got {n}")
         train = self._train
-        accuracy_matrix = partial(self.accuracy.unit_scores_batch, n=n)
+        accuracy_matrix = partial(self.accuracy.unit_scores_pair, n=n)
         exclusion_pairs = train.user_items_batch
         executor = Executor(self.config.n_jobs)
 

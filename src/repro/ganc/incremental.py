@@ -11,13 +11,16 @@ only *changes* the N just-assigned items' counts.
 :class:`SequentialAssigner` exploits that:
 
 * accuracy rows are prefetched in blocks through the batched provider
-  (``unit_scores_batch`` and friends from PR 1), so the per-user model call
-  disappears;
+  (``unit_scores_pair``: the ``(a, raw)`` pair of one ``predict_matrix``
+  call), so the per-user model call disappears, and the raw scores of the
+  chosen items are read from the same block;
 * coverage scores come from the zero-copy live view of the
   :class:`~repro.coverage.state.CoverageState`, which the assignment updates
   by an O(N) delta;
 * the per-user work is exactly one θ-blend into a preallocated buffer, one
-  exclusion mask, and one masked argpartition top-N reusing a scratch buffer.
+  exclusion mask, and one masked argpartition top-N reusing a scratch buffer
+  (:func:`~repro.utils.topn.top_n_indices`, which resolves boundary ties
+  from one equality scan instead of a full sort).
 
 Every arithmetic operation matches the historical
 :func:`~repro.ganc.value_function.combined_item_scores` →
@@ -34,7 +37,7 @@ import numpy as np
 
 from repro.coverage.dynamic import DynamicCoverage
 from repro.exceptions import ConfigurationError
-from repro.utils.topn import DEFAULT_BLOCK_SIZE, top_n_indices
+from repro.utils.topn import DEFAULT_BLOCK_SIZE, gather_scores, top_n_indices
 
 
 def supports_incremental(coverage: object) -> bool:
@@ -63,36 +66,6 @@ def iter_order_chunks(
     order = np.asarray(order, dtype=np.int64)
     for start in range(0, order.size, size):
         yield order[start : start + size]
-
-
-_INF = float("inf")
-
-
-def _select_top_n(work: np.ndarray, n: int) -> np.ndarray | None:
-    """Exact canonical top-``n`` of a negated finite-or-``+inf`` work vector.
-
-    ``work`` holds the negated scores (exclusions are ``+inf``), so the
-    canonical ordering — decreasing score, ties by increasing index — is
-    ascending ``(value, index)``.  One ``argpartition`` bounds the selection;
-    every entry *strictly below* the partition boundary provably sits inside
-    the partition, so those are ordered as small Python tuples, and the
-    boundary-tied entries are read off one equality scan
-    (``flatnonzero`` returns them in increasing index order, which *is* the
-    canonical tie order).  This resolves boundary ties without the full
-    stable sort :func:`repro.utils.topn.top_n_indices` falls back to, and
-    produces bit-identical selections.  Returns ``None`` when fewer than
-    ``n`` selectable entries exist (the canonical path handles padding).
-    """
-    part = np.argpartition(work, n - 1)[:n]
-    vals = work[part].tolist()
-    thresh = max(vals)
-    if thresh == _INF:
-        return None  # fewer than n selectable entries: canonical handles it
-    better = sorted(pair for pair in zip(vals, part.tolist()) if pair[0] != thresh)
-    items = [index for _, index in better]
-    tied = np.flatnonzero(work == thresh)
-    items.extend(tied[: n - len(items)].tolist())
-    return np.array(items, dtype=np.int64)
 
 
 class SequentialAssigner:
@@ -133,17 +106,21 @@ class SequentialAssigner:
         out: np.ndarray,
         order: Sequence[int] | np.ndarray,
         theta: np.ndarray,
-        accuracy_matrix: Callable[[np.ndarray], np.ndarray],
+        accuracy_matrix: Callable[[np.ndarray], "tuple[np.ndarray, np.ndarray]"],
         exclusion_pairs: Callable[[np.ndarray], "tuple[np.ndarray, np.ndarray]"],
         *,
+        scores: np.ndarray,
         on_assign: Callable[[int, np.ndarray], None] | None = None,
     ) -> np.ndarray:
         """Assign every user in ``order`` sequentially, writing rows of ``out``.
 
-        ``out`` is the ``(n_users, n)`` result table (modified in place;
-        rows of users outside ``order`` are untouched).  ``on_assign`` is
-        invoked after each step with ``(user, items)`` — OSLG uses it to
-        record snapshot deltas.  Returns ``out``.
+        ``out`` is the ``(n_users, n)`` result table, ``-1``-filled by the
+        caller, and ``scores`` its float64 twin, which receives the raw
+        scores of each assigned row (``NaN`` on ``-1`` padding).  Both are
+        modified in place; rows of users outside ``order`` are untouched.
+        ``accuracy_matrix`` maps a block of users to its ``(a, raw)`` pair.
+        ``on_assign`` is invoked after each step with ``(user, items)`` —
+        OSLG uses it to record snapshot deltas.  Returns ``out``.
         """
         theta = np.asarray(theta, dtype=np.float64)
         state = self.coverage.state
@@ -154,11 +131,13 @@ class SequentialAssigner:
         live_scores = state.scores  # view aliases the state across updates
 
         for users in iter_order_chunks(order, self.block_size):
-            acc_block = np.asarray(accuracy_matrix(users), dtype=np.float64)
-            if acc_block.shape != (users.size, n_items):
+            acc_block, raw_block = accuracy_matrix(users)
+            acc_block = np.asarray(acc_block, dtype=np.float64)
+            raw_block = np.asarray(raw_block, dtype=np.float64)
+            if acc_block.shape != (users.size, n_items) or raw_block.shape != acc_block.shape:
                 raise ConfigurationError(
                     f"accuracy block must have shape {(users.size, n_items)}, "
-                    f"got {acc_block.shape}"
+                    f"got {acc_block.shape} and raw {raw_block.shape}"
                 )
             rows, cols = exclusion_pairs(users)
             bounds = np.searchsorted(rows, np.arange(users.size + 1))
@@ -177,7 +156,6 @@ class SequentialAssigner:
                 )
             theta_list = theta_block.tolist()
             users_list = users.tolist()
-            fast_select = finite_block and self.n < n_items
             for position in range(users.size):
                 user = users_list[position]
                 theta_u = theta_list[position]
@@ -189,16 +167,12 @@ class SequentialAssigner:
                 exclude = cols[bounds[position] : bounds[position + 1]]
                 if exclude.size:
                     values[exclude] = -np.inf
-                items = None
-                if fast_select:
-                    np.negative(values, out=scratch)
-                    items = _select_top_n(scratch, self.n)
-                if items is None:
-                    items = top_n_indices(
-                        values, self.n, work=scratch, assume_finite=finite_block
-                    )
+                items = top_n_indices(
+                    values, self.n, work=scratch, assume_finite=finite_block
+                )
                 out[user, : items.size] = items
                 self.coverage.update(items)
                 if on_assign is not None:
                     on_assign(user, items)
+            scores[users] = gather_scores(raw_block, out[users])
         return out

@@ -38,9 +38,14 @@ from repro.recommenders.base import FittedTopN
 from repro.utils.topn import iter_user_blocks, top_n_indices
 
 
-#: Batched providers: map a block of user indices to a ``(B, n_items)`` score
-#: block / to flattened ``(block_row, item)`` exclusion pairs.
-BatchAccuracyProvider = Callable[[np.ndarray], np.ndarray]
+#: Batched providers.  The accuracy provider maps a block of user indices to
+#: its ``(a, raw)`` pair of ``(B, n_items)`` blocks — the accuracy scores
+#: ``a(i)`` and the raw model scores they derive from (two distinct arrays,
+#: e.g. :meth:`~repro.recommenders.base.Recommender.unit_scores_pair`); the
+#: optimizers may blend into ``a`` in place, and they store the raw scores of
+#: the items they choose.  The exclusion provider maps the block to
+#: flattened ``(block_row, item)`` exclusion pairs.
+BatchAccuracyProvider = Callable[[np.ndarray], "tuple[np.ndarray, np.ndarray]"]
 BatchExclusionProvider = Callable[[np.ndarray], "tuple[np.ndarray, np.ndarray]"]
 
 
@@ -88,8 +93,9 @@ class LocallyGreedyOptimizer:
         theta:
             Per-user long-tail preferences in [0, 1].
         accuracy_matrix:
-            Callable mapping a block of user indices to its ``(B, n_items)``
-            accuracy score block ``a(i)``.
+            Callable mapping a block of user indices to its ``(a, raw)``
+            pair of ``(B, n_items)`` blocks (see
+            :data:`BatchAccuracyProvider`).
         exclusion_pairs:
             Callable mapping a block of user indices to flattened
             ``(block_row, item)`` pairs of items that must not be
@@ -111,23 +117,26 @@ class LocallyGreedyOptimizer:
             )
 
         out = np.full((total_users, self.n), -1, dtype=np.int64)
+        scores = np.full((total_users, self.n), np.nan, dtype=np.float64)
         if supports_incremental(self.coverage):
             assigner = SequentialAssigner(
                 self.coverage, self.n, block_size=block_size  # type: ignore[arg-type]
             )
-            assigner.run(out, order, theta, accuracy_matrix, exclusion_pairs)
-            return FittedTopN(items=out)
+            assigner.run(
+                out, order, theta, accuracy_matrix, exclusion_pairs, scores=scores
+            )
+            return FittedTopN(items=out, scores=scores)
 
         for user in order:
             block = np.asarray([user], dtype=np.int64)
             _, exclude = exclusion_pairs(block)
-            items = self.assign_user(
-                user, float(theta[user]), accuracy_matrix(block)[0], exclude
-            )
+            accuracy, raw = accuracy_matrix(block)
+            items = self.assign_user(user, float(theta[user]), accuracy[0], exclude)
             out[user, : items.size] = items
+            scores[user, : items.size] = raw[0, items]
             if self.coverage.is_dynamic:
                 self.coverage.update(items)
-        return FittedTopN(items=out)
+        return FittedTopN(items=out, scores=scores)
 
     def run_independent(
         self,
@@ -155,8 +164,9 @@ class LocallyGreedyOptimizer:
         theta:
             Per-user long-tail preferences in [0, 1].
         accuracy_matrix:
-            Callable mapping a block of user indices to its ``(B, n_items)``
-            accuracy score block.
+            Callable mapping a block of user indices to its ``(a, raw)``
+            pair of ``(B, n_items)`` blocks (see
+            :data:`BatchAccuracyProvider`).
         exclusion_pairs:
             Callable mapping a block of user indices to flattened
             ``(block_row, item)`` exclusion pairs (see
@@ -172,14 +182,16 @@ class LocallyGreedyOptimizer:
         theta = np.asarray(theta, dtype=np.float64)
         total_users = int(n_users if n_users is not None else theta.size)
         out = np.empty((total_users, self.n), dtype=np.int64)
+        scores = np.empty((total_users, self.n), dtype=np.float64)
         blocks = list(iter_user_blocks(total_users, block_size))
         task = IndependentAssignTask(
             self.coverage, theta, self.n, accuracy_matrix, exclusion_pairs
         )
         executor = resolve_executor(executor, n_jobs)
-        for users, rows in zip(blocks, executor.map_blocks(task, blocks)):
+        for users, (rows, row_scores) in zip(blocks, executor.map_blocks(task, blocks)):
             out[users] = rows
-        return FittedTopN(items=out)
+            scores[users] = row_scores
+        return FittedTopN(items=out, scores=scores)
 
     def assign_user(
         self,

@@ -19,6 +19,9 @@ This implementation runs both phases at matrix speed:
   batched blocks, coverage scores blended from the delta-updated live
   :class:`~repro.coverage.state.CoverageState`, per-user work reduced to a
   θ-blend plus a masked argpartition top-N on preallocated buffers.
+* Each user's accuracy rows are scored once: both phases read the raw
+  scores of the items they assign from the ``(a, raw)`` block their
+  selection used, so :attr:`FittedTopN.scores` needs no second pass.
 * The per-user **snapshots** ``F(θ_u)`` (line 9) are recorded as compact
   :class:`~repro.coverage.state.DeltaSnapshots` — O(S·N) memory instead of
   the historical dense O(S·|I|) matrix — and reconstruct bit-identically.
@@ -160,8 +163,8 @@ class OSLGOptimizer:
         """Execute Algorithm 1 and return the assigned collection.
 
         ``accuracy_matrix`` and ``exclusion_pairs`` map a block of user
-        indices to its ``(B, n_items)`` accuracy block and to its flattened
-        ``(block_row, item)`` exclusion pairs, as in
+        indices to its ``(a, raw)`` pair of ``(B, n_items)`` blocks and to
+        its flattened ``(block_row, item)`` exclusion pairs, as in
         :meth:`~repro.ganc.locally_greedy.LocallyGreedyOptimizer.run`.  The
         sequential sampled pass runs on the incremental delta-updated engine;
         the snapshot blocks are mutually independent — exactly the
@@ -180,6 +183,7 @@ class OSLGOptimizer:
         sampled = sampled[np.argsort(theta[sampled], kind="stable")]
 
         out = np.full((n_users, self.n), -1, dtype=np.int64)
+        scores = np.full((n_users, self.n), np.nan, dtype=np.float64)
 
         # Lines 4-10: sequential pass over the sampled users.
         log = DeltaSnapshots(self.coverage.frequencies)
@@ -191,6 +195,7 @@ class OSLGOptimizer:
             theta,
             accuracy_matrix,
             exclusion_pairs,
+            scores=scores,
             on_assign=lambda _user, items: record(items),
         )
 
@@ -209,11 +214,16 @@ class OSLGOptimizer:
             )
             blocks = [remaining[block] for block in iter_user_blocks(remaining.size, block_size)]
             snapshot_executor = resolve_executor(executor, n_jobs)
-            for users, rows in zip(blocks, snapshot_executor.map_blocks(task, blocks)):
+            for users, (rows, row_scores) in zip(
+                blocks, snapshot_executor.map_blocks(task, blocks)
+            ):
                 out[users] = rows
+                scores[users] = row_scores
 
         return OSLGResult(
-            top_n=FittedTopN(items=out), sampled_users=sampled, snapshot_log=log
+            top_n=FittedTopN(items=out, scores=scores),
+            sampled_users=sampled,
+            snapshot_log=log,
         )
 
     # ------------------------------------------------------------------ #

@@ -46,13 +46,17 @@ def combined_score_matrix(
     accuracy_scores: np.ndarray,
     coverage_scores: np.ndarray,
     theta: np.ndarray,
+    *,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Batched Eq. III.1: value rows for a block of users at once.
 
     ``accuracy_scores`` and ``coverage_scores`` are ``(B, n_items)`` blocks
     (either may be a broadcast view) and ``theta`` holds the block's B mixing
     weights.  Row ``u`` equals ``combined_item_scores(acc[u], cov[u],
-    theta[u])`` exactly, since the scalar arithmetic is identical.
+    theta[u])`` exactly, since the scalar arithmetic is identical.  ``out``
+    (a writable float64 block of the same shape, typically the accuracy
+    block itself) receives the result instead of a fresh array.
     """
     theta = np.asarray(theta, dtype=np.float64)
     if theta.ndim != 1:
@@ -69,7 +73,15 @@ def combined_score_matrix(
         raise ConfigurationError(
             f"theta block must have one entry per row, got {theta.size} for {acc.shape}"
         )
-    return (1.0 - theta)[:, None] * acc + theta[:, None] * cov
+    if out is None:
+        return (1.0 - theta)[:, None] * acc + theta[:, None] * cov
+    if out.shape != acc.shape or out.dtype != np.float64:
+        raise ConfigurationError(
+            f"out must be a float64 block of shape {acc.shape}, got {out.dtype} {out.shape}"
+        )
+    np.multiply((1.0 - theta)[:, None], acc, out=out)
+    out += theta[:, None] * cov
+    return out
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,9 @@ supplies the machinery:
     block order, so at a fixed block size the output is byte-identical for
     any worker count.
 :mod:`repro.parallel.tasks`
-    The block tasks used by ``recommend_all``, the
-    locally-greedy independent assignment, the OSLG snapshot phase and the
-    artifact compile pass.
+    The block tasks used by ``recommend_all`` (and so the artifact
+    compile pass), the locally-greedy independent assignment and the OSLG
+    snapshot phase.
 
 Determinism
 -----------
@@ -24,8 +24,9 @@ makes results invariant to ``n_jobs``.  The block size is another matter:
 it decides which users share one matrix product, and the factor models
 (PureSVD, RSVD, CofiRank) score a row differently in the last ulps when
 its block changes, so their raw scores — and the score shards of a
-compiled artifact — depend on the block size; their top-N ids match across
-block sizes as tested.  Pop, Rand, ItemKNN and UserKNN compute every row
+compiled artifact, which are read from the blocks the ranking pass scored
+— depend on the block size and, for GANC, on the optimizer's block order;
+their top-N ids match across block sizes as tested.  Pop, Rand, ItemKNN and UserKNN compute every row
 on its own, so their score bytes do not depend on it.  Tasks that do need
 randomness receive per-block generators derived with
 ``numpy.random.SeedSequence.spawn`` (:func:`repro.utils.rng.spawn_seed_sequences`)
@@ -36,7 +37,6 @@ the block position — never on thread scheduling.
 from repro.parallel.executor import Executor, effective_n_jobs, resolve_executor
 from repro.parallel.tasks import (
     IndependentAssignTask,
-    RecommendBlockTask,
     SnapshotAssignTask,
     TopNScoresTask,
 )
@@ -45,7 +45,6 @@ __all__ = [
     "Executor",
     "resolve_executor",
     "effective_n_jobs",
-    "RecommendBlockTask",
     "TopNScoresTask",
     "IndependentAssignTask",
     "SnapshotAssignTask",

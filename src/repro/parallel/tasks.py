@@ -2,10 +2,14 @@
 
 Each task realizes exactly the per-block arithmetic of the in-order loop it
 replaces — the same :func:`~repro.ganc.value_function.combined_score_matrix`,
-:func:`~repro.utils.topn.mask_pairs` and
-:func:`~repro.utils.topn.top_n_matrix` calls on bit-identical inputs — which
-is what makes the output byte-identical for any ``n_jobs``.  Tasks hold live
-component references; the thread pool shares them with zero serialization.
+:func:`~repro.utils.topn.mask_pairs` and top-N selection calls on
+bit-identical inputs — which is what makes the output byte-identical for any
+``n_jobs``.  Every task returns a block's ``(top, scores)`` pair: the top-N
+item rows and the accuracy recommender's raw :meth:`predict_matrix` scores
+of those items (``NaN`` on ``-1`` padding), read from the same score block
+the selection used.  Tasks own the blocks they score, so they select in
+place instead of copying.  Tasks hold live component references; the thread
+pool shares them with zero serialization.
 """
 
 from __future__ import annotations
@@ -14,47 +18,34 @@ from typing import Any
 
 import numpy as np
 
-from repro.utils.topn import mask_pairs, top_n_matrix
+from repro.utils.topn import _top_n_in_place, gather_scores, mask_pairs
 
 
-def _combined_score_matrix(*args: Any) -> np.ndarray:
+def _combined_score_matrix(*args: Any, **kwargs: Any) -> np.ndarray:
     # Imported lazily: repro.ganc pulls in the GANC facade, which imports
     # this module — a module-level import would cycle through the package
     # __init__ files.
     from repro.ganc.value_function import combined_score_matrix
 
-    return combined_score_matrix(*args)
+    return combined_score_matrix(*args, **kwargs)
 
 
-class RecommendBlockTask:
-    """Fan-out unit of :meth:`Recommender.recommend_all`: one top-N block."""
+class TopNScoresTask:
+    """Fan-out unit of :meth:`Recommender.recommend_all`: one block's top-N.
+
+    Scores the block once with :meth:`predict_matrix`, masks the users'
+    train items and selects the top-``n`` rows in place; returns the rows
+    and the raw scores of the chosen items (``NaN`` on ``-1`` padding).
+    """
 
     def __init__(self, recommender: Any, n: int) -> None:
         self.recommender = recommender
         self.n = int(n)
 
-    def __call__(self, users: np.ndarray) -> np.ndarray:
-        return self.recommender.recommend_block(users, self.n)
-
-
-class TopNScoresTask:
-    """Fan-out unit of artifact compilation (:mod:`repro.serving`).
-
-    Given the already-selected top-N item rows of every user, gathers the
-    recommender's raw :meth:`predict_matrix` scores of exactly those items,
-    one block of users at a time.  ``-1`` padding gathers to ``NaN``.
-    """
-
-    def __init__(self, recommender: Any, items: np.ndarray) -> None:
-        self.recommender = recommender
-        self.items = np.asarray(items, dtype=np.int64)
-
-    def __call__(self, users: np.ndarray) -> np.ndarray:
-        block_items = self.items[users]
-        matrix = self.recommender.predict_matrix(users)
-        valid = block_items >= 0
-        gathered = np.take_along_axis(matrix, np.where(valid, block_items, 0), axis=1)
-        return np.where(valid, gathered, np.nan)
+    def __call__(self, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        scores = self.recommender.predict_matrix(users)
+        rows, cols = self.recommender.train_data.user_items_batch(users)
+        return _top_n_in_place(mask_pairs(scores, rows, cols), self.n)
 
 
 class IndependentAssignTask:
@@ -78,15 +69,14 @@ class IndependentAssignTask:
         self.accuracy_matrix = accuracy_matrix
         self.exclusion_pairs = exclusion_pairs
 
-    def __call__(self, users: np.ndarray) -> np.ndarray:
+    def __call__(self, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        accuracy, raw = self.accuracy_matrix(users)
         values = _combined_score_matrix(
-            self.accuracy_matrix(users),
-            self.coverage.scores_matrix(users),
-            self.theta[users],
+            accuracy, self.coverage.scores_matrix(users), self.theta[users], out=accuracy
         )
         rows, cols = self.exclusion_pairs(users)
-        mask_pairs(values, rows, cols)
-        return top_n_matrix(values, self.n)
+        top, _ = _top_n_in_place(mask_pairs(values, rows, cols), self.n)
+        return top, gather_scores(raw, top)
 
 
 class SnapshotAssignTask:
@@ -115,13 +105,14 @@ class SnapshotAssignTask:
         self.accuracy_matrix = accuracy_matrix
         self.exclusion_pairs = exclusion_pairs
 
-    def __call__(self, users: np.ndarray) -> np.ndarray:
+    def __call__(self, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         nearest = np.argmin(
             np.abs(self.sampled_theta[None, :] - self.theta[users, None]), axis=1
         )
+        accuracy, raw = self.accuracy_matrix(users)
         values = _combined_score_matrix(
-            self.accuracy_matrix(users), self.snapshots.scores_at(nearest), self.theta[users]
+            accuracy, self.snapshots.scores_at(nearest), self.theta[users], out=accuracy
         )
         rows, cols = self.exclusion_pairs(users)
-        mask_pairs(values, rows, cols)
-        return top_n_matrix(values, self.n)
+        top, _ = _top_n_in_place(mask_pairs(values, rows, cols), self.n)
+        return top, gather_scores(raw, top)

@@ -6,11 +6,14 @@ Every model has one scoring definition, and it is **batched**:
   (predicted ratings, popularity counts, associations, ...) for every item,
   one row per requested user, computed with matrix products / broadcasting
   instead of per-user loops.
-* ``unit_scores_batch(users, n)`` — the batch rows mapped onto ``[0, 1]``
-  (row-wise min-max normalization by default), used as the accuracy term
-  ``a(i)`` of the GANC value function (Eq. III.1).  The non-personalized
-  ``Pop`` recommender overrides this with binary top-N membership, exactly as
-  the paper specifies.
+* ``unit_scores_pair(users, n)`` — the ``(a, raw)`` pair of one
+  ``predict_matrix`` call: the raw block mapped onto ``[0, 1]`` (row-wise
+  min-max normalization by default), used as the accuracy term ``a(i)`` of
+  the GANC value function (Eq. III.1), plus the raw block itself, from which
+  the optimizers read the stored scores of the items they choose.  The
+  non-personalized ``Pop`` recommender overrides it with binary top-N
+  membership, exactly as the paper specifies.  ``unit_scores_batch`` is its
+  first element.
 * ``score_all_items(user)`` / ``predict_scores(user, items)`` /
   ``unit_scores(user, n)`` slice one-row blocks, and
   ``predict_pairs(users, items)`` gathers ``(user, item)`` pairs from
@@ -20,7 +23,9 @@ Every model has one scoring definition, and it is **batched**:
 that top-N sets follow the "all unrated items" protocol; ``recommend_all``
 processes users in memory-bounded blocks (``O(block_size × |I|)`` peak) with
 row-wise 2-D selection, and uses the canonical stable tie-breaking of
-:mod:`repro.utils.topn` so batched and per-user results agree exactly.
+:mod:`repro.utils.topn` so batched and per-user results agree exactly.  Each
+block is scored once: the raw scores of the chosen items come back with the
+rows (:attr:`FittedTopN.scores`).
 """
 
 from __future__ import annotations
@@ -33,15 +38,10 @@ import numpy as np
 from repro.data.dataset import RatingDataset
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.parallel.executor import Executor, resolve_executor
-from repro.parallel.tasks import RecommendBlockTask
+from repro.parallel.tasks import TopNScoresTask
 from repro.registry import ParamsMixin
 from repro.utils.normalization import normalize_rows
-from repro.utils.topn import (
-    iter_user_blocks,
-    mask_pairs,
-    top_n_indices,
-    top_n_matrix,
-)
+from repro.utils.topn import iter_user_blocks, top_n_indices
 
 
 @dataclass(frozen=True)
@@ -54,15 +54,29 @@ class FittedTopN:
         Integer array of shape ``(n_users, n)``; row ``u`` holds the top-N
         item indices of user ``u`` in rank order.  Rows may contain ``-1``
         padding when a user has fewer than ``n`` candidates.
+    scores:
+        Float64 array of the same shape: the accuracy recommender's raw
+        :meth:`Recommender.predict_matrix` scores of ``items``, ``NaN`` on
+        ``-1`` padding, read from the blocks the ranking pass scored.
+        ``None`` for collections built without a score pass (re-rankers).
     """
 
     items: np.ndarray
+    scores: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.items, dtype=np.int64)
         if arr.ndim != 2:
             raise ConfigurationError(f"top-N items must be 2-D, got shape {arr.shape}")
         object.__setattr__(self, "items", arr)
+        if self.scores is not None:
+            scores = np.asarray(self.scores, dtype=np.float64)
+            if scores.shape != arr.shape:
+                raise ConfigurationError(
+                    f"top-N scores must match the items' shape {arr.shape}, "
+                    f"got {scores.shape}"
+                )
+            object.__setattr__(self, "scores", scores)
 
     @property
     def n_users(self) -> int:
@@ -241,15 +255,25 @@ class Recommender(ParamsMixin, ABC):
             out[positions] = self.predict_matrix(block_users)[rows, items[positions]]
         return out
 
-    def unit_scores_batch(self, users: np.ndarray | None, n: int) -> np.ndarray:
-        """Accuracy scores ``a(i)`` in ``[0, 1]``, one row per user in the block.
+    def unit_scores_pair(
+        self, users: np.ndarray | None, n: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(a, raw)``: accuracy scores ``a(i)`` and the raw block they map.
 
-        The default maps the raw score block through row-wise min-max
-        normalization.  ``n`` is unused by score-based models but lets
-        membership-based models (Pop) know the top-N size.
+        One :meth:`predict_matrix` call gives ``raw``; the default ``a`` is
+        its row-wise min-max normalization, a separate array in ``[0, 1]``.
+        The GANC optimizers blend Eq. III.1 into ``a`` in place and read the
+        stored scores of the chosen items from ``raw``.  ``n`` is unused by
+        score-based models but lets membership-based models (Pop) know the
+        top-N size.
         """
         del n  # only membership-based recommenders need the top-N size
-        return normalize_rows(self.predict_matrix(users))
+        raw = self.predict_matrix(users)
+        return normalize_rows(raw), raw
+
+    def unit_scores_batch(self, users: np.ndarray | None, n: int) -> np.ndarray:
+        """Accuracy scores ``a(i)`` in ``[0, 1]``, one row per user in the block."""
+        return self.unit_scores_pair(users, n)[0]
 
     def unit_scores(self, user: int, n: int) -> np.ndarray:
         """Single-user view of :meth:`unit_scores_batch`."""
@@ -289,16 +313,13 @@ class Recommender(ParamsMixin, ABC):
 
         Returns a ``(len(users), n)`` int64 array padded with ``-1``, computed
         with one score-matrix evaluation, one fancy-indexed exclusion mask and
-        one row-wise 2-D selection.
+        one row-wise 2-D selection (:class:`~repro.parallel.TopNScoresTask`,
+        the block unit of :meth:`recommend_all`).
         """
         self._check_fitted()
         if n < 1:
             raise ConfigurationError(f"n must be >= 1, got {n}")
-        users = np.asarray(users, dtype=np.int64)
-        scores = self.predict_matrix(users)
-        rows, cols = self.train_data.user_items_batch(users)
-        mask_pairs(scores, rows, cols)
-        return top_n_matrix(scores, n)
+        return TopNScoresTask(self, n)(np.asarray(users, dtype=np.int64))[0]
 
     def recommend_all(
         self,
@@ -316,15 +337,18 @@ class Recommender(ParamsMixin, ABC):
         array operations.  The blocks are independent, so they can fan out
         to an :class:`~repro.parallel.Executor` (or ``n_jobs`` threads);
         every worker count produces the same bytes as the in-order loop.
+        The raw scores of the chosen items come from the same blocks.
         """
         self._check_fitted()
         if n < 1:
             raise ConfigurationError(f"n must be >= 1, got {n}")
         n_users = self.train_data.n_users
         blocks = list(iter_user_blocks(n_users, block_size))
-        task = RecommendBlockTask(self, n)
+        task = TopNScoresTask(self, n)
         out = np.empty((n_users, n), dtype=np.int64)
+        scores = np.empty((n_users, n), dtype=np.float64)
         executor = resolve_executor(executor, n_jobs)
-        for users, rows in zip(blocks, executor.map_blocks(task, blocks)):
+        for users, (rows, row_scores) in zip(blocks, executor.map_blocks(task, blocks)):
             out[users] = rows
-        return FittedTopN(items=out)
+            scores[users] = row_scores
+        return FittedTopN(items=out, scores=scores)

@@ -15,7 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.dataset import RatingDataset
+from repro.exceptions import ConfigurationError
 from repro.recommenders.base import Recommender
+from repro.utils.topn import _top_n_in_place, mask_pairs
 
 
 class MostPopular(Recommender):
@@ -80,14 +82,22 @@ class MostPopular(Recommender):
         assert self._scores is not None
         return np.tile(self._scores, (users.size, 1))
 
-    def unit_scores_batch(self, users: np.ndarray | None, n: int) -> np.ndarray:
-        """Binary top-N membership rows, as the paper defines ``a(i)`` for Pop."""
+    def unit_scores_pair(
+        self, users: np.ndarray | None, n: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Binary top-N membership rows, as the paper defines ``a(i)`` for Pop.
+
+        The membership is the top-``n`` of a masked copy of the returned raw
+        block, so it equals :meth:`recommend_block`'s rows.
+        """
         self._check_fitted()
+        if n < 1:
+            raise ConfigurationError(f"n must be >= 1, got {n}")
         users = self._resolve_users(users)
-        top = self.recommend_block(users, n)
-        scores = np.zeros((users.size, self.train_data.n_items), dtype=np.float64)
-        rows = np.repeat(np.arange(users.size), top.shape[1])
-        cols = top.ravel()
-        valid = cols >= 0
-        scores[rows[valid], cols[valid]] = 1.0
-        return scores
+        raw = self.predict_matrix(users)
+        rows, cols = self.train_data.user_items_batch(users)
+        top, _ = _top_n_in_place(mask_pairs(raw.copy(), rows, cols), n)
+        membership = np.zeros((users.size, self.train_data.n_items), dtype=np.float64)
+        valid = top >= 0
+        membership[np.nonzero(valid)[0], top[valid]] = 1.0
+        return membership, raw

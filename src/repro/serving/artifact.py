@@ -21,7 +21,10 @@ on-disk artifact:
     recommender's raw scores of the stored items (``NaN`` on padding).
     Diagnostic only: the *ranking* comes from the full pipeline (which for
     GANC runs trades accuracy off against coverage and novelty), so these
-    scores are not necessarily monotone along a row.
+    scores are not necessarily monotone along a row.  They are read from the
+    score blocks the ranking pass itself computed
+    (:attr:`~repro.recommenders.base.FittedTopN.scores`), so every user is
+    scored once per compile.
 
 Shards are written with plain :func:`numpy.save`, so a store can map them
 with ``np.load(..., mmap_mode="r")`` and serve lookups without loading the
@@ -50,13 +53,11 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError, DataFormatError
 from repro.parallel.executor import Executor, resolve_executor
-from repro.parallel.tasks import TopNScoresTask
 from repro.pipeline.persistence import read_json
 from repro.pipeline.pipeline import Pipeline
 from repro.pipeline.spec import ExecutionSpec
 from repro.utils.atomic import atomic_save as _atomic_save
 from repro.utils.atomic import atomic_write_json as _atomic_write_json
-from repro.utils.topn import iter_user_blocks
 
 #: Current artifact format version.
 ARTIFACT_FORMAT_VERSION = 1
@@ -151,12 +152,7 @@ def _previous_revision(output_dir: Path) -> int:
 
 
 def _compute_rows(
-    pipeline: Pipeline,
-    n: int,
-    coverage: int,
-    *,
-    block_size: int | None,
-    executor: Executor | None,
+    pipeline: Pipeline, n: int, coverage: int, *, block_size: int | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The compile pass: top-N item rows plus diagnostic score rows.
 
@@ -165,18 +161,10 @@ def _compute_rows(
     the same bytes for the same pipeline.
     """
     # The tentpole contract: stored rows ARE recommend_all's rows.  The
-    # call fans out over the spec'd executor exactly as a live run would.
-    items = pipeline.recommend_all(n, block_size=block_size).items[:coverage]
-
-    # Diagnostic score pass: gather the accuracy recommender's raw scores
-    # of the chosen items, fanned out over the same executor.
-    scores = np.full((coverage, n), np.nan, dtype=np.float64)
-    blocks = list(iter_user_blocks(coverage, block_size))
-    task = TopNScoresTask(pipeline.recommender, items)
-    fan_out = pipeline._executor() if executor is None else executor
-    for users, rows in zip(blocks, fan_out.map_blocks(task, blocks)):
-        scores[users] = rows
-    return items, scores
+    # call fans out over the spec'd executor exactly as a live run would,
+    # and returns the raw scores of the chosen items from the same blocks.
+    top = pipeline.recommend_all(n, block_size=block_size)
+    return top.items[:coverage], top.scores[:coverage]
 
 
 def compile_artifact(
@@ -245,9 +233,7 @@ def compile_artifact(
         raise ConfigurationError(f"max_users must be >= 1, got {max_users}")
 
     try:
-        items, scores = _compute_rows(
-            pipeline, n, coverage, block_size=block_size, executor=executor
-        )
+        items, scores = _compute_rows(pipeline, n, coverage, block_size=block_size)
     finally:
         # The override applies for the duration of the compile only; a
         # caller-owned pipeline must not come back with its execution spec

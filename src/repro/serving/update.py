@@ -58,7 +58,7 @@ from repro.data.incremental import extend_split_interactions, read_delta_csv
 from repro.data.split import TrainTestSplit
 from repro.exceptions import ConfigurationError
 from repro.parallel.executor import Executor, resolve_executor
-from repro.parallel.tasks import RecommendBlockTask, TopNScoresTask
+from repro.parallel.tasks import TopNScoresTask
 from repro.pipeline.pipeline import Pipeline
 from repro.pipeline.spec import ExecutionSpec
 from repro.serving.artifact import (
@@ -179,14 +179,10 @@ def _narrowed_rows(
     if todo.size:
         fan_out = pipeline._executor() if executor is None else executor
         blocks = [todo[block] for block in iter_user_blocks(todo.size, block_size)]
-        rec_task = RecommendBlockTask(pipeline.recommender, n)
-        for block, rows in zip(blocks, fan_out.map_blocks(rec_task, blocks)):
+        task = TopNScoresTask(pipeline.recommender, n)
+        for block, (rows, row_scores) in zip(blocks, fan_out.map_blocks(task, blocks)):
             items[block] = rows
-        # Second pass so the score task sees the final item table (it
-        # indexes the table globally, like the full compile's score pass).
-        score_task = TopNScoresTask(pipeline.recommender, items)
-        for block, rows in zip(blocks, fan_out.map_blocks(score_task, blocks)):
-            scores[block] = rows
+            scores[block] = row_scores
     return items, scores, int(todo.size)
 
 
@@ -283,9 +279,7 @@ def compile_artifact_update(
                 executor=executor,
             )
         else:
-            items, scores = _compute_rows(
-                pipeline, n, coverage, block_size=block_size, executor=executor
-            )
+            items, scores = _compute_rows(pipeline, n, coverage, block_size=block_size)
             users_recomputed = coverage
     finally:
         if original_execution is not None:

@@ -14,9 +14,12 @@ of them:
 Both the 1-D (:func:`top_n_indices`) and the row-wise 2-D
 (:func:`top_n_matrix`) implementations realize exactly this ordering, which is
 what makes the blocked batch paths bit-for-bit equivalent to the historical
-per-user loops.  The 2-D variant avoids a full-width sort: an
-``argpartition`` per row finds the ``n``-th largest value, boundary ties are
-resolved by index, and only the selected ``n`` entries are sorted.
+per-user loops.  Neither sorts a full row: an ``argpartition`` finds the
+``n``-th largest value, and every entry strictly better than it is already
+in the partition.  Only the slots of the entries tied with that value can be
+wrong, and one equality scan (the tie mask) hands them to the lowest-index
+tied entries.  Then only the ``n`` chosen entries are sorted, by
+``(value, index)``.
 """
 
 from __future__ import annotations
@@ -50,9 +53,9 @@ def top_n_indices(
 
     Returns at most ``n`` indices in decreasing score order, ties broken by
     increasing index; may return fewer when fewer finite entries exist.
-    Selection is ``O(n_items + n log n)`` via ``argpartition`` in the common
-    case, with a full stable sort only when a tie spans the selection
-    boundary (same fallback rule as :func:`top_n_matrix`).
+    Selection is ``O(n_items + n log n)``: one ``argpartition``, one
+    equality scan for the entries tied with the ``n``-th value, and a sort
+    of the ``n`` chosen entries (the boundary rule of :func:`top_n_matrix`).
 
     ``work`` is an optional preallocated float64 scratch buffer of the same
     shape as ``scores``; tight sequential callers (the incremental GANC pass
@@ -84,24 +87,28 @@ def top_n_indices(
     if not assume_finite:
         work[~np.isfinite(work)] = np.inf
 
-    if k < work.size:
-        part = np.argpartition(work, k - 1)[:k]
-        part_vals = work[part]
-        thresh = part_vals.max()
-        if np.count_nonzero(work == thresh) == np.count_nonzero(part_vals == thresh):
-            # Every entry tied with the boundary is inside the partition, so
-            # the selected set is forced; order it by (value, index).
-            cols = np.sort(part)
-            order = np.argsort(work[cols], kind="stable")
-            cols = cols[order]
-            if thresh != np.inf:
-                # No excluded entry was selected; skip the finiteness filter.
-                return cols.astype(np.int64, copy=False)
-            return cols[np.isfinite(work[cols])].astype(np.int64, copy=False)
+    if k == work.size:
+        order = np.argsort(work, kind="stable")
+        return order[np.isfinite(work[order])].astype(np.int64, copy=False)
 
-    order = np.argsort(work, kind="stable")
-    order = order[np.isfinite(work[order])]
-    return order[:k].astype(np.int64, copy=False)
+    # ``argpartition`` leaves the k-th smallest value at position k-1 and
+    # every strictly smaller entry before it, so only the slots of the
+    # entries tied with that value can be wrong: they belong to the
+    # lowest-index tied entries.
+    part = np.argpartition(work, k - 1)[:k]
+    part_vals = work[part]
+    thresh = part_vals[k - 1]
+    tied = np.flatnonzero(work == thresh)
+    n_in = part_vals.tolist().count(thresh)  # k is small: cheaper than numpy
+    if tied.size > n_in:
+        part[part_vals == thresh] = tied[:n_in]
+    # Ascending (value, index) is decreasing score with index ties.
+    order = np.lexsort((part, part_vals))
+    top = part[order]
+    if thresh == np.inf:
+        # Excluded entries were selected to fill the slots; drop them.
+        top = top[part_vals[order] != np.inf]
+    return top.astype(np.int64, copy=False)
 
 
 def top_n_matrix(scores: np.ndarray, n: int) -> np.ndarray:
@@ -121,56 +128,100 @@ def top_n_matrix(scores: np.ndarray, n: int) -> np.ndarray:
     ``(n_rows, n)`` int64 array whose row ``r`` lists the top items of
     ``scores[r]`` under the canonical ordering of this module.
     """
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = np.array(scores, dtype=np.float64)  # a copy to select in
     if scores.ndim != 2:
         raise ValueError(f"expected a 2-D score block, got shape {scores.shape}")
+    return _top_n_in_place(scores, n)[0]
+
+
+def _top_n_in_place(scores: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`top_n_matrix` on a block the caller owns, plus the chosen scores.
+
+    Returns ``(top, chosen)``: the ``(n_rows, n)`` top-N rows and the scores
+    of those entries (``NaN`` on ``-1`` padding).  ``scores`` must be a
+    writable float64 block; it is clobbered (negated, non-finite entries
+    overwritten) instead of copied.
+    """
     n = int(n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     n_rows, n_items = scores.shape
     if n_rows == 0:
-        return np.empty((0, n), dtype=np.int64)
+        return np.empty((0, n), dtype=np.int64), np.empty((0, n), dtype=np.float64)
     k = min(n, n_items)
 
     # Work in ascending order: negate the scores and push every non-finite
     # entry (exclusion masks, NaN, +inf model scores) to +inf so it sorts
     # last and is never selected.
-    work = -scores
+    work = np.negative(scores, out=scores)
     work[~np.isfinite(work)] = np.inf
 
     if k == n_items:
         cols = np.argsort(work, axis=1, kind="stable")
         vals = np.take_along_axis(work, cols, axis=1)
     else:
-        part = np.argpartition(work, k - 1, axis=1)[:, :k]
+        # Copy the k-column prefix so the full index block is freed at once.
+        part = np.argpartition(work, k - 1, axis=1)[:, :k].copy()
         part_vals = np.take_along_axis(work, part, axis=1)
-        # The k-th best value bounds the selection.  When every entry tied
-        # with the bound already sits inside the partition, the selected SET
-        # is forced and ``argpartition``'s arbitrary tie choice is harmless;
-        # otherwise (rare) the row needs the exact index tie-break of a full
-        # stable sort.
-        thresh = part_vals.max(axis=1, keepdims=True)
-        ambiguous = np.flatnonzero(
-            (work == thresh).sum(axis=1) > (part_vals == thresh[:, :1]).sum(axis=1)
-        )
-        cols = np.sort(part, axis=1)
+        # The k-th best value bounds the selection, and every entry strictly
+        # better than it sits inside the partition.  Only the slots of the
+        # entries tied with the bound are ambiguous: they belong to the
+        # lowest-index tied entries of the row.
+        thresh = part_vals[:, k - 1 : k]
+        in_part = part_vals == thresh
+        n_in = np.count_nonzero(in_part, axis=1)
+        tied = work == thresh
+        ambiguous = np.flatnonzero(np.count_nonzero(tied, axis=1) > n_in)
         if ambiguous.size:
-            exact = np.argsort(work[ambiguous], axis=1, kind="stable")[:, :k]
-            cols[ambiguous] = np.sort(exact, axis=1)
+            sub = part[ambiguous]
+            sub[in_part[ambiguous]] = _first_true(tied[ambiguous], n_in[ambiguous])
+            part[ambiguous] = sub
+        del tied
+        # Ascending (value, index) is decreasing score with index ties (the
+        # replaced slots hold values equal to the bound).  The values are
+        # re-read: -0.0 and 0.0 tie, but their bits differ.
+        order = np.lexsort((part, part_vals), axis=1)
+        cols = np.take_along_axis(part, order, axis=1)
         vals = np.take_along_axis(work, cols, axis=1)
-        # ``cols`` is in increasing index order per row, so a stable sort on
-        # the values yields decreasing score with index tie-breaking.
-        order = np.argsort(vals, axis=1, kind="stable")
-        cols = np.take_along_axis(cols, order, axis=1)
-        vals = np.take_along_axis(vals, order, axis=1)
 
-    top = cols[:, :k].astype(np.int64, copy=True)
-    top[np.isinf(vals[:, :k])] = -1
+    top = np.full((n_rows, n), -1, dtype=np.int64)
+    chosen = np.full((n_rows, n), np.nan, dtype=np.float64)
+    valid = ~np.isinf(vals)
+    top[:, :k] = np.where(valid, cols, -1)
+    np.negative(vals, out=chosen[:, :k], where=valid)
+    return top, chosen
 
-    if k < n:
-        pad = np.full((n_rows, n - k), -1, dtype=np.int64)
-        top = np.concatenate([top, pad], axis=1)
-    return top
+
+def _first_true(mask: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Column indices of the first ``counts[r]`` True entries of each row.
+
+    Returned flat in row-major order (row 0's columns, then row 1's, ...);
+    every row must hold at least ``counts[r]`` True entries.  Each round
+    reads each row only up to its next True entry (``argmax`` stops at the
+    first True) and clears it in the rows that still need more, so the
+    cost grows with the position of the last pick, not with the row width.
+    ``mask`` is clobbered.
+    """
+    rows = np.arange(mask.shape[0])
+    picked = np.empty((mask.shape[0], int(counts.max())), dtype=np.int64)
+    for j in range(picked.shape[1]):
+        first = mask.argmax(axis=1)
+        picked[:, j] = first
+        more = counts > j + 1
+        mask[rows[more], first[more]] = False
+    return picked[np.arange(picked.shape[1]) < counts[:, None]]
+
+
+def gather_scores(scores: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """Entries of a score block at a block of top-N rows, ``NaN`` on padding.
+
+    ``scores`` is ``(n_rows, n_items)`` and ``top`` the ``(n_rows, n)``
+    ``-1``-padded rows selected for the same users.
+    """
+    valid = top >= 0
+    gathered = np.take_along_axis(scores, np.where(valid, top, 0), axis=1)
+    gathered[~valid] = np.nan
+    return gathered
 
 
 def mask_pairs(scores: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

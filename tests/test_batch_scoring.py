@@ -255,7 +255,7 @@ def test_independent_branch_matches_sequential_loop(small_split, fitted_models, 
     coverage = coverage_factory().fit(train)
     rng = np.random.default_rng(5)
     theta = rng.random(train.n_users)
-    accuracy = lambda users: model.unit_scores_batch(users, N)  # noqa: E731
+    accuracy = lambda users: model.unit_scores_pair(users, N)  # noqa: E731
     optimizer = LocallyGreedyOptimizer(coverage, N)
 
     batched = optimizer.run_independent(
@@ -265,6 +265,9 @@ def test_independent_branch_matches_sequential_loop(small_split, fitted_models, 
         theta, accuracy, train.user_items_batch, n_users=train.n_users
     )
     np.testing.assert_array_equal(batched.items, sequential.items)
+    # Both paths store the raw scores of the items they chose; one-row and
+    # 17-row GEMM blocks may differ in the last ulps.
+    np.testing.assert_allclose(batched.scores, sequential.scores, rtol=1e-12, atol=0)
 
 
 def test_run_independent_rejects_dynamic_coverage(small_split, fitted_models):
@@ -276,7 +279,7 @@ def test_run_independent_rejects_dynamic_coverage(small_split, fitted_models):
     with pytest.raises(ConfigurationError):
         optimizer.run_independent(
             np.zeros(train.n_users),
-            lambda users: np.zeros((users.size, train.n_items)),
+            lambda users: (np.zeros((users.size, train.n_items)),) * 2,
             train.user_items_batch,
         )
 
@@ -290,7 +293,7 @@ def test_oslg_snapshot_phase_matches_per_user_reference(small_split, fitted_mode
 
     batched = OSLGOptimizer(DynamicCoverage().fit(train), N, sample_size=20, seed=3).run(
         theta,
-        lambda users: model.unit_scores_batch(users, N),
+        lambda users: model.unit_scores_pair(users, N),
         train.user_items_batch,
         block_size=13,
     )

@@ -135,6 +135,25 @@ def test_scale_document_records_the_issue_gates():
     assert metrics["peak_rss_mb"] < 8192
 
 
+def test_batch_scoring_bench_records_an_unequal_leg(monkeypatch, tmp_path):
+    """``equal`` is the conjunction of the legs' flags, not a constant."""
+    import json
+
+    import numpy as np
+
+    import bench_batch_scoring
+
+    def wrong_loop(model, n):
+        return np.full((model.train_data.n_users, n), -1, dtype=np.int64)
+
+    monkeypatch.setattr(bench_json, "OUTPUT_DIR", tmp_path)
+    monkeypatch.setattr(bench_batch_scoring, "BENCH_MODELS", {"pop": {}})
+    monkeypatch.setattr(bench_batch_scoring, "_loop_recommend_all", wrong_loop)
+    assert bench_batch_scoring.main(["--scale", "0.05", "--repeats", "1"]) == 0
+    payload = json.loads((tmp_path / "BENCH_batch_scoring.json").read_text(encoding="utf-8"))
+    assert payload["equal"] is False
+
+
 def test_validator_rejects_malformed_payloads():
     assert bench_json.validate_payload([]) != []
     assert bench_json.validate_payload({"schema": 0}) != []

@@ -4,8 +4,9 @@ The engine must be bit-for-bit indistinguishable from the historical
 per-user loop (fresh coverage recompute + ``combined_item_scores`` +
 canonical ``top_n_indices``) for every input shape the optimizers can feed
 it — including heavy exact-tie score distributions, exclusion masks, θ at
-the endpoints, and non-finite accuracy rows (which must route to the
-canonical fallback, not crash or drift).
+the endpoints, and non-finite accuracy rows (which must take the scrubbing
+selection, not crash or drift).  The raw scores it stores must be the raw
+block's entries at the assigned items.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from repro.coverage.state import CoverageState
 from repro.exceptions import ConfigurationError
 from repro.ganc.incremental import (
     SequentialAssigner,
-    _select_top_n,
     iter_order_chunks,
     supports_incremental,
 )
@@ -59,9 +59,13 @@ def reference_sequential(order, theta, acc, exclusions, n, n_users, n_items):
 def run_engine(order, theta, acc, exclusions, n, n_users, n_items, block_size=None):
     coverage = _fit_coverage(n_items)
     out = np.full((n_users, n), -1, dtype=np.int64)
+    scores = np.full((n_users, n), np.nan)
+    # A raw block distinct from ``a`` (any values will do): the engine must
+    # store its entries at the assigned items.
+    raw = np.arange(n_users * n_items, dtype=np.float64).reshape(n_users, n_items) - 7.5
 
     def accuracy_matrix(users):
-        return acc[users]
+        return acc[users], raw[users]
 
     def exclusion_pairs(users):
         per_user = [exclusions[int(u)] for u in users]
@@ -73,7 +77,11 @@ def run_engine(order, theta, acc, exclusions, n, n_users, n_items, block_size=No
         return rows, np.concatenate(per_user)
 
     assigner = SequentialAssigner(coverage, n, block_size=block_size)
-    assigner.run(out, order, theta, accuracy_matrix, exclusion_pairs)
+    assigner.run(out, order, theta, accuracy_matrix, exclusion_pairs, scores=scores)
+    valid = out >= 0
+    np.testing.assert_array_equal(
+        scores, np.where(valid, np.take_along_axis(raw, np.where(valid, out, 0), axis=1), np.nan)
+    )
     return out, coverage
 
 
@@ -170,8 +178,9 @@ def test_engine_rejects_misshapen_accuracy_block():
             out,
             [0, 1],
             np.array([0.5, 0.5]),
-            lambda users: np.zeros((users.size, N_ITEMS + 1)),
+            lambda users: (np.zeros((users.size, N_ITEMS + 1)),) * 2,
             lambda users: (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)),
+            scores=np.full((2, 2), np.nan),
         )
 
 
@@ -185,35 +194,6 @@ def test_assigner_requires_stock_dynamic_coverage():
     assert not supports_incremental(custom)
     with pytest.raises(ConfigurationError):
         SequentialAssigner(custom, 2)
-
-
-# --------------------------------------------------------------------------- #
-# The fast selection primitive
-# --------------------------------------------------------------------------- #
-@FAST
-@given(data=st.data())
-def test_fast_select_matches_canonical_top_n(data):
-    size = data.draw(st.integers(2, 30))
-    n = data.draw(st.integers(1, size - 1))
-    # Finite quantized values plus -inf exclusion masks (the only non-finite
-    # value the engine ever feeds the selection).
-    values = np.asarray(
-        data.draw(
-            st.lists(
-                st.one_of(st.integers(-2, 2).map(float), st.just(-np.inf)),
-                min_size=size, max_size=size,
-            )
-        )
-    )
-    work = -values
-    got = _select_top_n(work, n)
-    expected = top_n_indices(values, n)
-    if got is None:
-        # Declined rows (fewer than n selectable) route to the canonical
-        # implementation in the engine, so no equivalence obligation here.
-        assert np.count_nonzero(np.isfinite(values)) < n
-    else:
-        np.testing.assert_array_equal(got, expected)
 
 
 def test_iter_order_chunks_preserves_order():

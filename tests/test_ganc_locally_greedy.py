@@ -12,17 +12,23 @@ from repro.ganc.locally_greedy import LocallyGreedyOptimizer
 
 
 def _providers(train):
-    def accuracy(users: np.ndarray) -> np.ndarray:
-        return np.stack(
+    def accuracy(users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        block = np.stack(
             [np.random.default_rng(100 + int(user)).random(train.n_items) for user in users]
         )
+        return block, block * 5.0
 
     return accuracy, train.user_items_batch
 
 
 def _constant(row: np.ndarray):
     """Accuracy provider giving every user of a block the same row."""
-    return lambda users: np.tile(row, (np.asarray(users).size, 1))
+
+    def accuracy(users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        block = np.tile(row, (np.asarray(users).size, 1))
+        return block, block.copy()
+
+    return accuracy
 
 
 def _no_exclusions(users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -13,10 +13,11 @@ from repro.preferences.generalized import GeneralizedPreference
 
 
 def _providers(train, seed: int = 0):
-    def accuracy(users: np.ndarray) -> np.ndarray:
-        return np.stack(
+    def accuracy(users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        block = np.stack(
             [np.random.default_rng(seed + int(user)).random(train.n_items) for user in users]
         )
+        return block, block * 5.0
 
     return accuracy, train.user_items_batch
 

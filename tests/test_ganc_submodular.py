@@ -16,6 +16,12 @@ from repro.ganc.submodular import (
 )
 
 
+def _pair(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """An ``(a, raw)`` accuracy pair whose raw block is a copy of ``a``."""
+    block = np.stack(rows)
+    return block, block.copy()
+
+
 def _no_exclusions(users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     empty = np.empty(0, dtype=np.int64)
     return empty, empty
@@ -109,7 +115,7 @@ def test_locally_greedy_achieves_half_of_optimum():
     optimizer = LocallyGreedyOptimizer(coverage, n)
     greedy = optimizer.run(
         theta,
-        lambda users: np.stack([accuracy[int(u)] for u in users]),
+        lambda users: _pair([accuracy[int(u)] for u in users]),
         _no_exclusions,
         n_users=n_users,
     )
@@ -137,7 +143,7 @@ def test_locally_greedy_half_bound_across_random_instances():
         coverage = DynamicCoverage().fit(data)
         greedy = LocallyGreedyOptimizer(coverage, n).run(
             theta,
-            lambda users: np.stack([accuracy[int(u)] for u in users]),
+            lambda users: _pair([accuracy[int(u)] for u in users]),
             _no_exclusions,
             n_users=n_users,
         )

@@ -12,7 +12,9 @@ fast experiment configuration:
   report and full top-5 CSV of the ``examples/specs/ml100k_tiny.json``
   pipeline spec (the same spec the CI smoke jobs execute),
 * ``itemknn_ganc_tiny.json`` — default ``ItemKNN()`` score rows and the
-  GANC(ItemKNN, θG, Dyn) OSLG top-10 rows on a small split.
+  GANC(ItemKNN, θG, Dyn) OSLG top-10 rows on a small split,
+* ``artifact_tiny.json`` — SHA-256 of every compiled item and score shard
+  of four small artifacts (GANC and bare recommenders).
 
 The tests regenerate each output and byte-compare it against the committed
 fixture, so any change to scoring, tie-breaking, sampling, ranking or
@@ -159,7 +161,7 @@ def generate_oslg_tiny() -> bytes:
         DynamicCoverage().fit(train), 5, sample_size=12, seed=SEED
     )
     result = optimizer.run(
-        theta, lambda users: model.unit_scores_batch(users, 5), train.user_items_batch
+        theta, lambda users: model.unit_scores_pair(users, 5), train.user_items_batch
     )
     final_counts = result.snapshot_log.counts_at(result.snapshot_log.n_steps - 1)
     return _as_json_bytes(
@@ -237,6 +239,62 @@ def generate_itemknn_ganc_tiny() -> bytes:
     )
 
 
+def _shard_digests(artifact_dir: Path, kinds: tuple[str, ...]) -> dict[str, str]:
+    """SHA-256 of every ``kinds`` shard file the artifact manifest lists."""
+    import hashlib
+
+    manifest = json.loads((artifact_dir / "manifest.json").read_text(encoding="utf-8"))
+    return {
+        entry[kind]: hashlib.sha256((artifact_dir / entry[kind]).read_bytes()).hexdigest()
+        for entry in manifest["shards"]
+        for kind in kinds
+    }
+
+
+def generate_artifact_tiny() -> bytes:
+    """SHA-256 of the compiled shards of four small artifacts.
+
+    Pins the compile pass — item rows and the diagnostic raw-score rows — of
+    GANC(ItemKNN, θG, Dyn) with OSLG, bare ItemKNN and bare Pop with a
+    ``max_users`` cut, plus the item rows of the ``ml100k_tiny`` spec's
+    GANC(psvd10) (its GEMM scores may move in the last ulp with block
+    composition, so only its items are pinned).  Blocks of 7 users and
+    shards of 16 make every artifact span several of each.
+    """
+    from repro.pipeline import ComponentSpec, DatasetSpec, EvaluationSpec, GANCSpec, PipelineSpec
+    from repro.serving import compile_artifact
+
+    def spec(recommender: str, *, ganc: bool) -> PipelineSpec:
+        return PipelineSpec(
+            recommender=ComponentSpec(recommender),
+            preference=ComponentSpec("thetag") if ganc else None,
+            coverage=ComponentSpec("dyn") if ganc else None,
+            ganc=GANCSpec(sample_size=SAMPLE_SIZE, optimizer="oslg"),
+            dataset=DatasetSpec(key="ml100k", scale=SCALE),
+            evaluation=EvaluationSpec(n=10),
+            seed=SEED,
+        )
+
+    cases = (
+        ("ganc_itemknn", Pipeline(spec("itemknn", ganc=True)), None, ("items", "scores")),
+        ("itemknn", Pipeline(spec("itemknn", ganc=False)), None, ("items", "scores")),
+        ("pop_max_users", Pipeline(spec("pop", ganc=False)), 41, ("items", "scores")),
+        ("tiny_spec_psvd10", Pipeline.from_json_file(TINY_SPEC), None, ("items",)),
+    )
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, pipeline, max_users, kinds in cases:
+            artifact = compile_artifact(
+                pipeline.fit(),
+                Path(tmp) / name,
+                shard_size=16,
+                block_size=7,
+                max_users=max_users,
+            )
+            digests[name] = _shard_digests(artifact, kinds)
+    return _as_json_bytes(digests)
+
+
 FIXTURES = {
     "table4_ml100k.json": generate_table4,
     "figure6_ml100k.json": generate_figure6,
@@ -246,6 +304,7 @@ FIXTURES = {
     "oslg_tiny.json": generate_oslg_tiny,
     "sparse_knn_tiny.json": generate_sparse_knn_tiny,
     "itemknn_ganc_tiny.json": generate_itemknn_ganc_tiny,
+    "artifact_tiny.json": generate_artifact_tiny,
 }
 
 ENVIRONMENT_FILE = "environment.json"
@@ -322,6 +381,10 @@ def test_sparse_knn_tiny_golden_master():
 
 def test_itemknn_ganc_tiny_golden_master():
     _check("itemknn_ganc_tiny.json")
+
+
+def test_artifact_tiny_golden_master():
+    _check("artifact_tiny.json")
 
 
 def regenerate() -> None:

@@ -29,6 +29,7 @@ from repro.pipeline import (
     ganc_spec,
 )
 from repro.preferences.generalized import GeneralizedPreference
+from repro.recommenders.base import FittedTopN
 from repro.recommenders.registry import make_recommender
 from repro.registry import available
 from repro.utils.rng import spawn_seed_sequences
@@ -176,13 +177,16 @@ def test_recommend_all_results_invariant_to_block_size(small_split):
 # --------------------------------------------------------------------------- #
 # GANC equivalence: both optimizers, all coverage types
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("coverage_cls", [StaticCoverage, DynamicCoverage])
-@pytest.mark.parametrize("optimizer", ["locally_greedy", "oslg"])
+@pytest.mark.parametrize(
+    "optimizer,coverage_cls",
+    [
+        ("locally_greedy", DynamicCoverage),
+        ("locally_greedy", StaticCoverage),
+        ("oslg", DynamicCoverage),  # OSLG rejects stateless coverage
+    ],
+)
 def test_ganc_parallel_backends_match_serial(coverage_cls, optimizer, medium_split):
-    if optimizer == "oslg" and coverage_cls is StaticCoverage:
-        pytest.skip("OSLG requires dynamic coverage")
-
-    def build(n_jobs: int) -> np.ndarray:
+    def build(n_jobs: int) -> FittedTopN:
         model = GANC(
             make_recommender("psvd10"),
             GeneralizedPreference(),
@@ -192,13 +196,16 @@ def test_ganc_parallel_backends_match_serial(coverage_cls, optimizer, medium_spl
             ),
         )
         model.fit(medium_split.train)
-        return model.recommend_all(N).items
+        return model.recommend_all(N)
 
     serial = build(1)
     for n_jobs in PARALLEL_JOBS:
+        parallel = build(n_jobs)
         np.testing.assert_array_equal(
-            build(n_jobs), serial, err_msg=f"{optimizer} n_jobs={n_jobs}"
+            parallel.items, serial.items, err_msg=f"{optimizer} n_jobs={n_jobs}"
         )
+        # Same blocks for any worker count, so the same score bytes.
+        assert parallel.scores.tobytes() == serial.scores.tobytes()
 
 
 def test_run_independent_executor_matches_sequential_run(small_split):
@@ -206,7 +213,7 @@ def test_run_independent_executor_matches_sequential_run(small_split):
     model = make_recommender("pop").fit(small_split.train)
     theta = GeneralizedPreference().estimate(small_split.train).theta
     optimizer = LocallyGreedyOptimizer(coverage, N)
-    accuracy = lambda users: model.unit_scores_batch(users, N)  # noqa: E731
+    accuracy = lambda users: model.unit_scores_pair(users, N)  # noqa: E731
     exclusions = small_split.train.user_items_batch
     sequential = optimizer.run(theta, accuracy, exclusions).items
     for n_jobs in PARALLEL_JOBS:

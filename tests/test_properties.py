@@ -21,7 +21,7 @@ from repro.data.dataset import RatingDataset
 from repro.parallel import Executor
 from repro.recommenders.popularity import MostPopular
 from repro.utils.rng import spawn_seed_sequences
-from repro.utils.topn import iter_user_blocks, top_n_indices, top_n_matrix
+from repro.utils.topn import _top_n_in_place, iter_user_blocks, top_n_indices, top_n_matrix
 
 FAST = settings(max_examples=40, deadline=None)
 SLOWER = settings(max_examples=15, deadline=None)
@@ -90,6 +90,42 @@ def test_top_n_matrix_rows_equal_per_vector_selection_with_padding(scores, n):
         np.testing.assert_array_equal(got[row, : expected.size], expected)
         # Right-padding is -1 and nothing but -1.
         assert (got[row, expected.size:] == -1).all()
+
+
+@FAST
+@given(
+    scores=hnp.arrays(
+        dtype=np.float64,
+        shape=st.integers(1, 60),
+        elements=st.one_of(st.integers(-3, 3).map(float), st.just(-np.inf)),
+    ),
+    n=st.integers(1, 70),
+)
+def test_top_n_indices_scratch_path_matches_reference_ordering(scores, n):
+    """The sequential GANC engine's call: a reused scratch buffer, no scrub."""
+    work = np.full(scores.shape, 123.0)
+    got = top_n_indices(scores, n, work=work, assume_finite=True)
+    np.testing.assert_array_equal(got, reference_top_n(scores, n))
+
+
+@FAST
+@given(
+    scores=hnp.arrays(
+        dtype=np.float64,
+        shape=st.tuples(st.integers(0, 12), st.integers(1, 40)),
+        # -0.0 ties with 0.0 but has other bits.
+        elements=st.one_of(TIED_SCORES, st.just(-0.0)),
+    ),
+    n=st.integers(1, 45),
+)
+def test_in_place_selection_returns_the_chosen_scores(scores, n):
+    top, chosen = _top_n_in_place(scores.copy(), n)
+    np.testing.assert_array_equal(top, top_n_matrix(scores, n))
+    valid = top >= 0
+    expected = np.take_along_axis(scores, np.where(valid, top, 0), axis=1)
+    assert np.isnan(chosen[~valid]).all()
+    # Bit-exact: the chosen scores are negated back from the work block.
+    assert chosen[valid].tobytes() == expected[valid].tobytes()
 
 
 @FAST

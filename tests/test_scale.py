@@ -365,10 +365,21 @@ def test_scan_similarity_bit_identical_to_exact(clustered):
 
 
 def test_scan_recommendations_identical_to_exact(clustered):
-    train = RatioSplitter(0.8, seed=0).split(clustered).train
-    scan = ItemKNN(10).fit(train)
-    dense = _dense_knn(train, 10)
-    assert np.array_equal(scan.predict_matrix(), _dense_knn_scores(train, dense))
+    # Centred ratings are signed, so some cosines are negative and the
+    # weight mass |S| differs from S.
+    signed = RatingDataset(
+        clustered.user_indices,
+        clustered.item_indices,
+        clustered.ratings - 4.5,
+        n_users=clustered.n_users,
+        n_items=clustered.n_items,
+    )
+    for dataset in (clustered, signed):
+        train = RatioSplitter(0.8, seed=0).split(dataset).train
+        scan = ItemKNN(10).fit(train)
+        dense = _dense_knn(train, 10)
+        assert np.array_equal(scan.predict_matrix(), _dense_knn_scores(train, dense))
+    assert (dense < 0).any()
 
 
 def test_one_item_dataset_scores_zero():
