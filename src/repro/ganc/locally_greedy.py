@@ -40,11 +40,13 @@ from repro.utils.topn import iter_user_blocks, top_n_indices
 
 #: Batched providers.  The accuracy provider maps a block of user indices to
 #: its ``(a, raw)`` pair of ``(B, n_items)`` blocks — the accuracy scores
-#: ``a(i)`` and the raw model scores they derive from (two distinct arrays,
-#: e.g. :meth:`~repro.recommenders.base.Recommender.unit_scores_pair`); the
-#: optimizers may blend into ``a`` in place, and they store the raw scores of
-#: the items they choose.  The exclusion provider maps the block to
-#: flattened ``(block_row, item)`` exclusion pairs.
+#: ``a(i)`` and the raw model scores they derive from (e.g.
+#: :meth:`~repro.recommenders.base.Recommender.unit_scores_pair`).  The
+#: blocked phases blend Eq. III.1 into ``a`` in place when it is a writable
+#: float64 array that shares no memory with ``raw``, and into a copy
+#: otherwise; the optimizers store the raw scores of the items they choose.
+#: The exclusion provider maps the block to flattened ``(block_row, item)``
+#: exclusion pairs.
 BatchAccuracyProvider = Callable[[np.ndarray], "tuple[np.ndarray, np.ndarray]"]
 BatchExclusionProvider = Callable[[np.ndarray], "tuple[np.ndarray, np.ndarray]"]
 

@@ -54,9 +54,9 @@ def combined_score_matrix(
     ``accuracy_scores`` and ``coverage_scores`` are ``(B, n_items)`` blocks
     (either may be a broadcast view) and ``theta`` holds the block's B mixing
     weights.  Row ``u`` equals ``combined_item_scores(acc[u], cov[u],
-    theta[u])`` exactly, since the scalar arithmetic is identical.  ``out``
-    (a writable float64 block of the same shape, typically the accuracy
-    block itself) receives the result instead of a fresh array.
+    theta[u])`` exactly, since the scalar arithmetic is identical.  The
+    result is written into ``out`` (a writable float64 block of the same
+    shape, typically the accuracy block itself) or into a fresh array.
     """
     theta = np.asarray(theta, dtype=np.float64)
     if theta.ndim != 1:
@@ -74,8 +74,8 @@ def combined_score_matrix(
             f"theta block must have one entry per row, got {theta.size} for {acc.shape}"
         )
     if out is None:
-        return (1.0 - theta)[:, None] * acc + theta[:, None] * cov
-    if out.shape != acc.shape or out.dtype != np.float64:
+        out = np.empty(acc.shape, dtype=np.float64)
+    elif out.shape != acc.shape or out.dtype != np.float64:
         raise ConfigurationError(
             f"out must be a float64 block of shape {acc.shape}, got {out.dtype} {out.shape}"
         )

@@ -21,13 +21,25 @@ import numpy as np
 from repro.utils.topn import _top_n_in_place, gather_scores, mask_pairs
 
 
-def _combined_score_matrix(*args: Any, **kwargs: Any) -> np.ndarray:
+def _blend_into_accuracy(
+    accuracy: np.ndarray, raw: np.ndarray, coverage: np.ndarray, theta: np.ndarray
+) -> np.ndarray:
+    """Eq. III.1 for one block, written over the provider's ``a`` block.
+
+    ``a`` is the output when it is a writable float64 array that shares no
+    memory with ``raw``; any other ``a`` (float32, read-only, or ``raw``
+    itself) is copied first, so the blocked phases accept every ``(a, raw)``
+    pair the sequential engine accepts.
+    """
     # Imported lazily: repro.ganc pulls in the GANC facade, which imports
     # this module — a module-level import would cycle through the package
     # __init__ files.
     from repro.ganc.value_function import combined_score_matrix
 
-    return combined_score_matrix(*args, **kwargs)
+    accuracy = np.require(accuracy, dtype=np.float64, requirements="W")
+    if np.may_share_memory(accuracy, raw):
+        accuracy = accuracy.copy()
+    return combined_score_matrix(accuracy, coverage, theta, out=accuracy)
 
 
 class TopNScoresTask:
@@ -71,8 +83,8 @@ class IndependentAssignTask:
 
     def __call__(self, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         accuracy, raw = self.accuracy_matrix(users)
-        values = _combined_score_matrix(
-            accuracy, self.coverage.scores_matrix(users), self.theta[users], out=accuracy
+        values = _blend_into_accuracy(
+            accuracy, raw, self.coverage.scores_matrix(users), self.theta[users]
         )
         rows, cols = self.exclusion_pairs(users)
         top, _ = _top_n_in_place(mask_pairs(values, rows, cols), self.n)
@@ -110,8 +122,8 @@ class SnapshotAssignTask:
             np.abs(self.sampled_theta[None, :] - self.theta[users, None]), axis=1
         )
         accuracy, raw = self.accuracy_matrix(users)
-        values = _combined_score_matrix(
-            accuracy, self.snapshots.scores_at(nearest), self.theta[users], out=accuracy
+        values = _blend_into_accuracy(
+            accuracy, raw, self.snapshots.scores_at(nearest), self.theta[users]
         )
         rows, cols = self.exclusion_pairs(users)
         top, _ = _top_n_in_place(mask_pairs(values, rows, cols), self.n)

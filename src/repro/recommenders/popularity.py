@@ -15,9 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.dataset import RatingDataset
-from repro.exceptions import ConfigurationError
 from repro.recommenders.base import Recommender
-from repro.utils.topn import _top_n_in_place, mask_pairs
 
 
 class MostPopular(Recommender):
@@ -87,16 +85,12 @@ class MostPopular(Recommender):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Binary top-N membership rows, as the paper defines ``a(i)`` for Pop.
 
-        The membership is the top-``n`` of a masked copy of the returned raw
-        block, so it equals :meth:`recommend_block`'s rows.
+        The membership rows are :meth:`recommend_block`'s top-``n`` sets;
+        ``raw`` is the popularity block they rank.
         """
-        self._check_fitted()
-        if n < 1:
-            raise ConfigurationError(f"n must be >= 1, got {n}")
         users = self._resolve_users(users)
         raw = self.predict_matrix(users)
-        rows, cols = self.train_data.user_items_batch(users)
-        top, _ = _top_n_in_place(mask_pairs(raw.copy(), rows, cols), n)
+        top = self.recommend_block(users, n)
         membership = np.zeros((users.size, self.train_data.n_items), dtype=np.float64)
         valid = top >= 0
         membership[np.nonzero(valid)[0], top[valid]] = 1.0

@@ -284,6 +284,53 @@ def test_run_independent_rejects_dynamic_coverage(small_split, fitted_models):
         )
 
 
+def _float32_a(a, raw):
+    return a.astype(np.float32), raw
+
+
+def _read_only_a(a, raw):
+    a.setflags(write=False)
+    return a, raw
+
+
+def _raw_as_a(a, raw):
+    return raw, raw
+
+
+@pytest.mark.parametrize("optimizer", ["oslg", "independent"])
+@pytest.mark.parametrize(
+    "unowned", [_float32_a, _read_only_a, _raw_as_a], ids=["float32", "read_only", "raw_as_a"]
+)
+def test_blocked_phases_accept_accuracy_blocks_they_cannot_overwrite(
+    small_split, fitted_models, unowned, optimizer
+):
+    """An ``a`` block that is float32, read-only or ``raw`` itself gives the
+    bytes of its writable float64 copy: the blocked phases blend into a copy
+    instead of failing or overwriting the raw scores they store."""
+    train = small_split.train
+    model = fitted_models["psvd10"]
+    theta = np.random.default_rng(4).random(train.n_users)
+
+    def given(users):
+        return unowned(*model.unit_scores_pair(users, N))
+
+    def owned(users):
+        a, raw = given(users)
+        return np.array(a, dtype=np.float64), raw
+
+    def run(accuracy):
+        if optimizer == "oslg":
+            oslg = OSLGOptimizer(DynamicCoverage().fit(train), N, sample_size=20, seed=3)
+            return oslg.run(theta, accuracy, train.user_items_batch, block_size=13).top_n
+        return LocallyGreedyOptimizer(StaticCoverage().fit(train), N).run_independent(
+            theta, accuracy, train.user_items_batch, block_size=13
+        )
+
+    result, reference = run(given), run(owned)
+    np.testing.assert_array_equal(result.items, reference.items)
+    np.testing.assert_array_equal(result.scores, reference.scores)
+
+
 @pytest.mark.parametrize("name", ["pop", "psvd10"])
 def test_oslg_snapshot_phase_matches_per_user_reference(small_split, fitted_models, name):
     train = small_split.train

@@ -252,34 +252,43 @@ def _shard_digests(artifact_dir: Path, kinds: tuple[str, ...]) -> dict[str, str]
 
 
 def generate_artifact_tiny() -> bytes:
-    """SHA-256 of the compiled shards of four small artifacts.
+    """SHA-256 of the compiled shards of eight small artifacts.
 
     Pins the compile pass — item rows and the diagnostic raw-score rows — of
-    GANC(ItemKNN, θG, Dyn) with OSLG, bare ItemKNN and bare Pop with a
-    ``max_users`` cut, plus the item rows of the ``ml100k_tiny`` spec's
-    GANC(psvd10) (its GEMM scores may move in the last ulp with block
-    composition, so only its items are pinned).  Blocks of 7 users and
-    shards of 16 make every artifact span several of each.
+    GANC(ItemKNN, θG, Dyn) with OSLG, GANC(UserKNN, θG, Dyn) with Locally
+    Greedy, GANC(Pop, θG, Stat), bare ItemKNN, bare UserKNN, bare Rand and
+    bare Pop with a ``max_users`` cut, plus the item rows of the
+    ``ml100k_tiny`` spec's GANC(psvd10) (its GEMM scores may move in the
+    last ulp with block composition, so only its items are pinned).  Blocks
+    of 7 users and shards of 16 make every artifact span several of each.
     """
     from repro.pipeline import ComponentSpec, DatasetSpec, EvaluationSpec, GANCSpec, PipelineSpec
     from repro.serving import compile_artifact
 
-    def spec(recommender: str, *, ganc: bool) -> PipelineSpec:
-        return PipelineSpec(
-            recommender=ComponentSpec(recommender),
-            preference=ComponentSpec("thetag") if ganc else None,
-            coverage=ComponentSpec("dyn") if ganc else None,
-            ganc=GANCSpec(sample_size=SAMPLE_SIZE, optimizer="oslg"),
-            dataset=DatasetSpec(key="ml100k", scale=SCALE),
-            evaluation=EvaluationSpec(n=10),
-            seed=SEED,
+    def spec(recommender: str, coverage: str | None = None, optimizer: str = "oslg") -> Pipeline:
+        """A bare ``recommender``, or GANC(recommender, θG, ``coverage``)."""
+        return Pipeline(
+            PipelineSpec(
+                recommender=ComponentSpec(recommender),
+                preference=ComponentSpec("thetag") if coverage else None,
+                coverage=ComponentSpec(coverage) if coverage else None,
+                ganc=GANCSpec(sample_size=SAMPLE_SIZE, optimizer=optimizer),
+                dataset=DatasetSpec(key="ml100k", scale=SCALE),
+                evaluation=EvaluationSpec(n=10),
+                seed=SEED,
+            )
         )
 
+    both = ("items", "scores")
     cases = (
-        ("ganc_itemknn", Pipeline(spec("itemknn", ganc=True)), None, ("items", "scores")),
-        ("itemknn", Pipeline(spec("itemknn", ganc=False)), None, ("items", "scores")),
-        ("pop_max_users", Pipeline(spec("pop", ganc=False)), 41, ("items", "scores")),
+        ("ganc_itemknn", spec("itemknn", "dyn"), None, both),
+        ("itemknn", spec("itemknn"), None, both),
+        ("pop_max_users", spec("pop"), 41, both),
         ("tiny_spec_psvd10", Pipeline.from_json_file(TINY_SPEC), None, ("items",)),
+        ("ganc_userknn_locally_greedy", spec("userknn", "dyn", "locally_greedy"), None, both),
+        ("ganc_pop_stat", spec("pop", "stat"), None, both),
+        ("userknn", spec("userknn"), None, both),
+        ("rand", spec("rand"), None, both),
     )
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
