@@ -31,8 +31,7 @@ from repro.ganc.locally_greedy import LocallyGreedyOptimizer
 from repro.recommenders.base import Recommender
 from repro.recommenders.registry import make_recommender
 
-import bench_json
-from bench_json import write_bench_json
+from bench_json import write_bench_json, write_bench_text
 
 N = 5
 
@@ -162,9 +161,7 @@ def main(argv=None) -> int:
 
     text = "\n".join(lines)
     print(text)
-    out_dir = bench_json.OUTPUT_DIR
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "bench_batch_scoring.txt").write_text(text + "\n", encoding="utf-8")
+    write_bench_text("batch_scoring", text)
     write_bench_json(
         "batch_scoring",
         config={

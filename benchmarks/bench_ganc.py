@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -51,7 +50,7 @@ from repro.recommenders.registry import make_recommender
 from repro.utils.rng import ensure_rng
 from repro.utils.topn import iter_user_blocks, mask_pairs, top_n_indices, top_n_matrix
 
-from bench_json import write_bench_json
+from bench_json import write_bench_json, write_bench_text
 
 #: Accuracy recommenders benchmarked; the headline carries the speedup gates.
 BENCH_MODELS = ("pop", "psvd100", "itemknn")
@@ -298,9 +297,7 @@ def main(argv=None) -> int:
 
     text = "\n".join(lines)
     print(text)
-    out_dir = Path(__file__).parent / "output"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "bench_ganc.txt").write_text(text + "\n", encoding="utf-8")
+    write_bench_text("ganc", text)
     write_bench_json(
         "ganc",
         config={

@@ -119,6 +119,19 @@ def write_bench_json(
     return path
 
 
+def write_bench_text(name: str, text: str) -> Path:
+    """Write one bench's human-readable report, ``bench_<name>.txt``.
+
+    Like :func:`write_bench_json`, it writes into :data:`OUTPUT_DIR` as that
+    attribute reads at call time, so ``run_all.py --smoke`` can point every
+    bench at a scratch directory.
+    """
+    OUTPUT_DIR.mkdir(parents=True, exist_ok=True)
+    path = OUTPUT_DIR / f"bench_{name}.txt"
+    path.write_text(text + "\n", encoding="utf-8")
+    return path
+
+
 def load_and_validate(path: Path) -> dict[str, Any]:
     """Load one ``BENCH_*.json`` file, raising ``ValueError`` on violations."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))

@@ -29,7 +29,6 @@ import argparse
 import platform
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from repro.parallel import Executor, effective_n_jobs
 from repro.pipeline import Pipeline, ganc_spec
 from repro.recommenders.registry import make_recommender
 
-from bench_json import write_bench_json
+from bench_json import write_bench_json, write_bench_text
 
 N = 5
 
@@ -158,9 +157,7 @@ def main(argv=None) -> int:
 
     text = "\n".join(lines)
     print(text)
-    output = Path(__file__).parent / "output" / "bench_parallel_scaling.txt"
-    output.parent.mkdir(parents=True, exist_ok=True)
-    output.write_text(text + "\n", encoding="utf-8")
+    output = write_bench_text("parallel_scaling", text)
     print(f"\nwritten to {output}")
     write_bench_json(
         "parallel_scaling",

@@ -11,7 +11,8 @@ Exercises the whole scale subsystem end to end on one synthetic workload:
    ratio split;
 4. **fit** — ItemKNN's blocked gram scan on the train split, through a
    pipeline spec that reads the store;
-5. **score** — ``recommend_block`` over a user sample;
+5. **score** — ``recommend_block`` over a user sample, in
+   :data:`~repro.utils.topn.DEFAULT_BLOCK_SIZE` blocks as the compile scores;
 6. **compile** — the pipeline into a serveable artifact.
 
 Peak RSS (``resource.getrusage``) is recorded throughout — the point of the
@@ -50,8 +51,9 @@ from repro.pipeline import (
     PipelineSpec,
 )
 from repro.serving import compile_artifact
+from repro.utils.topn import iter_user_blocks
 
-from bench_json import write_bench_json
+from bench_json import write_bench_json, write_bench_text
 
 K = 50
 SHARD_SIZE = 4096
@@ -147,7 +149,10 @@ def run_benchmark(args) -> tuple[list[str], dict]:
         )
         sample.sort()
         score_s, _ = _time(
-            lambda: pipeline.recommender.recommend_block(sample, args.n)
+            lambda: [
+                pipeline.recommender.recommend_block(sample[block], args.n)
+                for block in iter_user_blocks(sample.size)
+            ]
         )
         lines.append(
             f"score {sample.size} users: {score_s:.2f}s "
@@ -200,9 +205,7 @@ def main(argv=None) -> int:
     lines, metrics = run_benchmark(args)
     report = "\n".join(lines)
     print(report)
-    output = Path(__file__).resolve().parent / "output" / "bench_scale.txt"
-    output.parent.mkdir(parents=True, exist_ok=True)
-    output.write_text(report + "\n", encoding="utf-8")
+    output = write_bench_text("scale", report)
     print(f"\nwritten to {output}")
     write_bench_json(
         "scale",

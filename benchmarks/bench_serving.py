@@ -75,7 +75,7 @@ from repro.serving import (
 )
 from repro.serving.service import json_body, recommend_payload
 
-from bench_json import write_bench_json
+from bench_json import write_bench_json, write_bench_text
 
 N = 5
 
@@ -563,9 +563,7 @@ def main(argv=None) -> int:
     )
     report = "\n".join(lines)
     print(report)
-    output = Path(__file__).resolve().parent / "output" / "bench_serving.txt"
-    output.parent.mkdir(parents=True, exist_ok=True)
-    output.write_text(report + "\n", encoding="utf-8")
+    output = write_bench_text("serving", report)
     print(f"\nwritten to {output}")
     write_bench_json(
         "serving",

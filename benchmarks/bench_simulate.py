@@ -51,7 +51,7 @@ from repro.simulate import (
     run_simulation,
 )
 
-from bench_json import write_bench_json
+from bench_json import write_bench_json, write_bench_text
 
 N = 10
 FEEDBACK = "position-biased"
@@ -231,9 +231,7 @@ def main(argv=None) -> int:
     )
     report = "\n".join(lines)
     print(report)
-    output = Path(__file__).resolve().parent / "output" / "bench_simulate.txt"
-    output.parent.mkdir(parents=True, exist_ok=True)
-    output.write_text(report + "\n", encoding="utf-8")
+    output = write_bench_text("simulate", report)
     print(f"\nwritten to {output}")
     write_bench_json(
         "simulate",

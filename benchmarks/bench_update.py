@@ -63,7 +63,7 @@ from repro.serving import (
     refit_pipeline,
 )
 
-from bench_json import write_bench_json
+from bench_json import write_bench_json, write_bench_text
 
 N = 5
 SHARD_SIZE = 256
@@ -250,9 +250,7 @@ def main(argv=None) -> int:
     )
     report = "\n".join(lines)
     print(report)
-    output = Path(__file__).resolve().parent / "output" / "bench_update.txt"
-    output.parent.mkdir(parents=True, exist_ok=True)
-    output.write_text(report + "\n", encoding="utf-8")
+    output = write_bench_text("update", report)
     print(f"\nwritten to {output}")
     write_bench_json(
         "update",

@@ -15,13 +15,16 @@ Run directly::
 ``--smoke`` runs every bench at a tiny scale with all speedup gates
 disabled — the point is exercising every driver end to end and validating
 the JSON schema, not producing meaningful numbers — and is wired as the CI
-bench-smoke step.
+bench-smoke step.  It points :data:`bench_json.OUTPUT_DIR` at a temporary
+directory for the run and validates there, so the committed
+``benchmarks/output/`` files are left as they are.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
 from pathlib import Path
 
 import bench_batch_scoring
@@ -31,7 +34,8 @@ import bench_scale
 import bench_serving
 import bench_simulate
 import bench_update
-from bench_json import OUTPUT_DIR, load_and_validate
+import bench_json
+from bench_json import load_and_validate
 
 #: name -> (module, full-scale argv, smoke argv)
 BENCHES: dict[str, tuple] = {
@@ -102,8 +106,20 @@ def main(argv=None) -> int:
         help="skip running; only validate the committed BENCH_*.json files",
     )
     args = parser.parse_args(argv)
-
     names = args.only or sorted(BENCHES)
+    if not args.smoke or args.validate_only:
+        return _run(names, args)
+    committed = bench_json.OUTPUT_DIR
+    with tempfile.TemporaryDirectory(prefix="bench-smoke-") as scratch:
+        bench_json.OUTPUT_DIR = Path(scratch)
+        try:
+            return _run(names, args)
+        finally:
+            bench_json.OUTPUT_DIR = committed
+
+
+def _run(names: list[str], args: argparse.Namespace) -> int:
+    """Run (unless ``--validate-only``) and validate the named benches."""
     failures: list[str] = []
 
     if not args.validate_only:
@@ -120,7 +136,7 @@ def main(argv=None) -> int:
             print()
 
     for name in names:
-        path = OUTPUT_DIR / f"BENCH_{name}.json"
+        path = bench_json.OUTPUT_DIR / f"BENCH_{name}.json"
         if not path.exists():
             failures.append(f"{name}: {path.name} was not emitted")
             continue

@@ -19,7 +19,9 @@ Three ingestion shapes are supported:
 * raw-id deltas (:func:`extend_split_interactions`) — `(user, item, rating)`
   records whose identifiers may never have been seen before,
 * delta CSV files (:func:`read_delta_csv`) — the ``repro compile --update
-  --delta`` wire format, one ``user,item[,rating]`` line per new rating.
+  --delta`` wire format, one ``user,item[,rating]`` line per new rating,
+  parsed by the same block parser (:func:`iter_rating_blocks`) as the
+  out-of-core ingest.
 
 :func:`consumed_delta` converts a simulation's per-event consumed feedback
 (:class:`~repro.simulate.engine.SimulationResult`) into dense delta arrays,
@@ -29,6 +31,7 @@ closing the online loop: simulate → ingest → delta-refit → delta-compile.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -177,23 +180,132 @@ def _coerce_id(token: str) -> object:
         return token
 
 
-def iter_rating_rows(
+def raw_id_table(tokens: Iterable[str]) -> dict[str, object]:
+    """Map each distinct id token to its raw id, coercing every token once.
+
+    The table's keys keep first-appearance order, and so do its values up to
+    coercion: two tokens may coerce to one id (``01`` and ``1``), and
+    ``dict.fromkeys(table.values())`` then lists each raw id at the position
+    of its first row — the order a per-row ``setdefault`` would assign.
+    """
+    distinct = dict.fromkeys(tokens)
+    try:  # the common all-integer block, without a Python call per token
+        return dict(zip(distinct, list(map(int, distinct))))
+    except ValueError:
+        return dict(zip(distinct, map(_coerce_id, distinct)))
+
+
+#: Physical lines read per parse block.  The block's line strings, tokens and
+#: columns are the parser's whole working set, so this bounds its memory at
+#: any file size; larger blocks ran no faster and left more heap behind.
+_BLOCK_LINES = 4096
+
+
+@dataclass(frozen=True)
+class RatingBlock:
+    """Consecutive valid rows of a ratings CSV, column by column.
+
+    Attributes
+    ----------
+    line_numbers:
+        Physical (1-based) line number of each row, ``int64``.
+    users, items:
+        The row's stripped id tokens, before :func:`raw_id_table` coercion.
+    ratings:
+        ``float64`` ratings; ``default_rating`` for two-field rows.
+    """
+
+    line_numbers: np.ndarray
+    users: list[str]
+    items: list[str]
+    ratings: np.ndarray
+
+
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _parse_block(
+    path: Path, lines: list[str], first: int, default_rating: float
+) -> tuple[RatingBlock, DataFormatError | None]:
+    """Parse one block of physical lines, numbered from ``first``.
+
+    Returns the valid rows before the block's earliest malformed line, and
+    the error that line raises (``None`` when the whole block is valid).
+    """
+    stripped = list(map(str.strip, lines))
+    keep = np.fromiter(map(bool, stripped), dtype=bool, count=len(stripped))
+    keep &= ~np.fromiter(
+        map(str.startswith, stripped, repeat("#")), dtype=bool, count=len(stripped)
+    )
+    numbers = np.flatnonzero(keep) + first
+    rows = list(compress(stripped, keep.tolist()))
+    if first == 1 and rows and numbers[0] == 1:
+        header = rows[0].split(",")
+        if len(header) == 3 and not _is_number(header[2].strip()):
+            numbers, rows = numbers[1:], rows[1:]
+
+    commas = np.fromiter(map(str.count, rows, repeat(",")), dtype=np.int64, count=len(rows))
+    misshapen = np.flatnonzero((commas < 1) | (commas > 2))
+    end = int(misshapen[0]) if misshapen.size else len(rows)
+    error = (
+        DataFormatError(
+            f"{path}:{numbers[end]}: expected 'user,item[,rating]', got {rows[end]!r}"
+        )
+        if misshapen.size
+        else None
+    )
+    fields = commas[:end] + 1
+    tokens = np.array(
+        list(map(str.strip, ",".join(rows[:end]).split(","))) if end else [],
+        dtype=object,
+    )
+    starts = np.cumsum(fields) - fields
+    rated = np.flatnonzero(fields == 3)
+    rating_tokens = tokens[starts[rated] + 2].tolist()
+    try:
+        values = np.fromiter(map(float, rating_tokens), dtype=np.float64)
+    except ValueError:
+        bad = list(map(_is_number, rating_tokens)).index(False)
+        end = int(rated[bad])
+        error = DataFormatError(
+            f"{path}:{numbers[end]}: rating {rating_tokens[bad]!r} is not a number"
+        )
+        values = np.fromiter(map(float, rating_tokens[:bad]), dtype=np.float64)
+    ratings = np.full(starts.size, default_rating, dtype=np.float64)
+    ratings[rated[: values.size]] = values
+    block = RatingBlock(
+        line_numbers=numbers[:end],
+        users=tokens[starts[:end]].tolist(),
+        items=tokens[starts[:end] + 1].tolist(),
+        ratings=ratings[:end],
+    )
+    return block, error
+
+
+def iter_rating_blocks(
     path: str | Path,
     *,
     default_rating: float = 1.0,
     description: str = "ratings file",
-) -> Iterator[tuple[int, object, object, float]]:
-    """Stream ``user,item[,rating]`` rows from a CSV file, one line at a time.
+) -> Iterator[RatingBlock]:
+    """Stream a ``user,item[,rating]`` CSV as :class:`RatingBlock` columns.
 
-    Yields ``(line_number, raw_user, raw_item, rating)`` tuples without ever
-    holding the whole file in memory, which is what lets the out-of-core
-    ingestion (:mod:`repro.data.outofcore`) and the delta-CSV reader share
-    one validation path at any file size.  Blank lines and ``#`` comments are
-    skipped; a first line whose rating column does not parse as a number is
-    treated as a header and skipped; a missing rating column defaults to
-    ``default_rating``.  Malformed lines raise
-    :class:`~repro.exceptions.DataFormatError` naming the file and line, so
-    an error in the middle of a multi-gigabyte file is still pinpointed.
+    The file is read ``_BLOCK_LINES`` physical lines at a time (split as text
+    mode splits them, so ``\\r\\n`` files parse), and each block is stripped,
+    filtered, split and converted with bulk string and numpy operations, so
+    memory holds one block whatever the file size.  Blank lines and ``#``
+    comments are skipped; a line must have two or three comma-separated
+    fields, each stripped; ratings parse with Python ``float`` semantics and
+    a two-field row gets ``default_rating``.  A non-numeric rating on
+    physical line 1 marks a header, which is skipped.  Any other malformed
+    line raises :class:`~repro.exceptions.DataFormatError` naming the file
+    and line — after the valid rows before it have been yielded, so the error
+    names the earliest bad line in file order.
     """
     path = Path(path)
     try:
@@ -201,34 +313,55 @@ def iter_rating_rows(
     except OSError as exc:
         raise DataFormatError(f"cannot read {description} {path}: {exc}") from exc
     with handle:
-        for number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [part.strip() for part in line.split(",")]
-            if len(parts) not in (2, 3):
-                raise DataFormatError(
-                    f"{path}:{number}: expected 'user,item[,rating]', got {line!r}"
-                )
-            try:
-                rating = float(parts[2]) if len(parts) == 3 else default_rating
-            except ValueError as exc:
-                if number == 1:
-                    continue  # header line
-                raise DataFormatError(
-                    f"{path}:{number}: rating {parts[2]!r} is not a number"
-                ) from exc
-            yield number, _coerce_id(parts[0]), _coerce_id(parts[1]), rating
+        first = 1
+        while lines := list(islice(handle, _BLOCK_LINES)):
+            block, error = _parse_block(path, lines, first, default_rating)
+            if block.ratings.size:
+                yield block
+            if error is not None:
+                raise error
+            first += len(lines)
+
+
+def iter_rating_rows(
+    path: str | Path,
+    *,
+    default_rating: float = 1.0,
+    description: str = "ratings file",
+) -> Iterator[tuple[int, object, object, float]]:
+    """Stream ``user,item[,rating]`` rows from a CSV file, one row at a time.
+
+    Yields ``(line_number, raw_user, raw_item, rating)`` tuples: a per-row
+    view over :func:`iter_rating_blocks`, so it accepts and rejects exactly
+    what the out-of-core ingestion (:mod:`repro.data.outofcore`) does and
+    never holds more than one parse block of the file.  Ids are
+    :func:`raw_id_table` coercions (integers when they parse as such);
+    malformed lines raise :class:`~repro.exceptions.DataFormatError` naming
+    the file and line, so an error in the middle of a multi-gigabyte file is
+    still pinpointed.
+    """
+    for block in iter_rating_blocks(
+        path, default_rating=default_rating, description=description
+    ):
+        users = raw_id_table(block.users)
+        items = raw_id_table(block.items)
+        yield from zip(
+            block.line_numbers.tolist(),
+            map(users.__getitem__, block.users),
+            map(items.__getitem__, block.items),
+            block.ratings.tolist(),
+        )
 
 
 def read_delta_csv(path: str | Path) -> list[tuple[object, object, float]]:
     """Read a delta file of ``user,item[,rating]`` lines (rating defaults to 1.0).
 
-    A first line whose rating column does not parse as a number is treated
-    as a header and skipped.  Malformed lines raise
+    The rows come from :func:`iter_rating_rows`, the same block parser as
+    ``repro ingest``: a first line whose rating column does not parse as a
+    number is treated as a header and skipped, and malformed lines raise
     :class:`~repro.exceptions.DataFormatError` naming the file and line.
-    The file is streamed line-by-line (via :func:`iter_rating_rows`) rather
-    than slurped, so delta files are not size-limited by memory.
+    The file is read one parse block at a time; only the returned records
+    grow with its size.
     """
     path = Path(path)
     records: list[tuple[object, object, float]] = [

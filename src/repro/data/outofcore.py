@@ -6,9 +6,10 @@ reproduction started from, a hard wall at the paper's Netflix scale.  This
 module is the scale front door:
 
 * :func:`ingest_csv` streams a ``user,item[,rating]`` CSV through the same
-  line-validation path as the delta reader
-  (:func:`repro.data.incremental.iter_rating_rows`), growing the raw→dense id
-  maps incrementally and writing fixed-size ``.npy`` shards plus a manifest —
+  block parser as the delta reader
+  (:func:`repro.data.incremental.iter_rating_blocks`), growing the raw→dense
+  id maps one parse block at a time and writing fixed-size ``.npy`` shards
+  plus a manifest —
   the same shard+manifest pattern as the compiled serving artifact
   (:mod:`repro.serving.artifact`), including atomic writes (temp file +
   ``os.replace``) and a manifest-last commit so a crashed ingest never leaves
@@ -23,8 +24,10 @@ module is the scale front door:
   no-copy for matching dtypes, so a 10M-rating store opens without reading
   10M ratings into RAM.
 
-The peak resident cost of ingestion is one chunk (``chunk_size`` triples)
-plus the id maps; the peak cost of loading is the id maps alone.
+The peak resident cost of ingestion is one shard of numpy columns
+(``chunk_size`` triples, 24 B each) plus one parse block
+(``incremental._BLOCK_LINES`` lines) plus the id maps; the peak cost of
+loading is the id maps alone.
 """
 
 from __future__ import annotations
@@ -32,13 +35,13 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from itertools import filterfalse
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from repro.data.dataset import RatingDataset
-from repro.data.incremental import iter_rating_rows
+from repro.data.incremental import iter_rating_blocks, raw_id_table
 from repro.exceptions import ConfigurationError, DataError, DataFormatError
 from repro.utils.atomic import atomic_save as _atomic_save
 from repro.utils.atomic import atomic_write_json as _atomic_write_json
@@ -129,23 +132,32 @@ def _read_id_map(path: Path) -> dict[object, int]:
     return {raw: index for index, raw in enumerate(raw_ids)}
 
 
+def _dense_codes(tokens: list[str], id_map: dict[object, int]) -> np.ndarray:
+    """Dense index of each id token, growing ``id_map`` in first-appearance order.
+
+    Each distinct token is coerced once (:func:`raw_id_table`); raw ids not yet
+    in the map get the next indices in the order of their first row, exactly
+    as a per-row ``id_map.setdefault(raw, len(id_map))`` would assign them.
+    """
+    raw = raw_id_table(tokens)
+    fresh = list(filterfalse(id_map.__contains__, dict.fromkeys(raw.values())))
+    id_map.update(zip(fresh, range(len(id_map), len(id_map) + len(fresh))))
+    dense = dict(zip(raw, map(id_map.__getitem__, raw.values())))
+    return np.fromiter(map(dense.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+
+
 def _flush_chunk(
     directory: Path,
     index: int,
-    users: Sequence[int],
-    items: Sequence[int],
-    values: Sequence[float],
+    users: np.ndarray,
+    items: np.ndarray,
+    values: np.ndarray,
 ) -> list[str]:
     """Write one chunk as three parallel shards; returns their relative names."""
-    arrays = {
-        "users": np.asarray(users, dtype=np.int64),
-        "items": np.asarray(items, dtype=np.int64),
-        "ratings": np.asarray(values, dtype=np.float64),
-    }
     names = []
-    for column in _COLUMNS:
+    for column, array in zip(_COLUMNS, (users, items, values)):
         name = _shard_name(column, index)
-        _atomic_save(directory / name, arrays[column])
+        _atomic_save(directory / name, array)
         names.append(name)
     return names
 
@@ -160,12 +172,15 @@ def ingest_csv(
 ) -> IngestReport:
     """Stream a ratings CSV into an out-of-core shard store.
 
-    The CSV is read line-by-line through
-    :func:`~repro.data.incremental.iter_rating_rows` (same validation and
-    ``file:line`` error reporting as the delta reader); every ``chunk_size``
-    rows become one triplet of ``.npy`` shards under ``output_dir/shards/``.
-    Raw identifiers are mapped to dense indices in first-appearance order —
-    the id maps are persisted as JSON so the mapping is stable across
+    The CSV is parsed a block of lines at a time by
+    :func:`~repro.data.incremental.iter_rating_blocks` (same validation and
+    ``file:line`` error reporting as the delta reader).  Each block's ids are
+    mapped to dense indices in first-appearance order, coercing every
+    distinct token once, and its columns are copied into one preallocated
+    shard of numpy columns; every ``chunk_size`` rows become one triplet of
+    ``.npy`` shards under ``output_dir/shards/``.  Memory is that shard
+    (24 B per row) plus one parse block plus the id maps, whatever the CSV's
+    size.  The id maps are persisted as JSON so the mapping is stable across
     appends, giving the store the same prefix-preserving semantics as
     :meth:`RatingDataset.extend`.
 
@@ -176,7 +191,8 @@ def ingest_csv(
     output_dir:
         Store directory.  Must not already hold a store unless ``append``.
     chunk_size:
-        Rows buffered in memory per shard; bounds the resident footprint.
+        Rows per shard, buffered as numpy columns; bounds the resident
+        footprint.
     default_rating:
         Value used for two-column rows.
     append:
@@ -224,23 +240,35 @@ def ingest_csv(
 
     (directory / "shards").mkdir(parents=True, exist_ok=True)
 
-    users: list[int] = []
-    items: list[int] = []
-    values: list[float] = []
+    # One shard of columns, filled a parse block at a time.
+    users = np.empty(chunk_size, dtype=np.int64)
+    items = np.empty(chunk_size, dtype=np.int64)
+    values = np.empty(chunk_size, dtype=np.float64)
+    filled = 0
     n_new = 0
-    for _, raw_user, raw_item, rating in iter_rating_rows(
-        csv_path, default_rating=default_rating
-    ):
-        users.append(user_map.setdefault(raw_user, len(user_map)))
-        items.append(item_map.setdefault(raw_item, len(item_map)))
-        values.append(rating)
-        n_new += 1
-        if len(users) >= chunk_size:
-            shards.extend(_flush_chunk(directory, shard_index, users, items, values))
-            shard_index += 1
-            users, items, values = [], [], []
-    if users:
-        shards.extend(_flush_chunk(directory, shard_index, users, items, values))
+    for block in iter_rating_blocks(csv_path, default_rating=default_rating):
+        block_users = _dense_codes(block.users, user_map)
+        block_items = _dense_codes(block.items, item_map)
+        offset = 0
+        while offset < block.ratings.size:
+            take = min(chunk_size - filled, block.ratings.size - offset)
+            rows = slice(filled, filled + take)
+            users[rows] = block_users[offset : offset + take]
+            items[rows] = block_items[offset : offset + take]
+            values[rows] = block.ratings[offset : offset + take]
+            filled += take
+            offset += take
+            if filled == chunk_size:
+                shards.extend(_flush_chunk(directory, shard_index, users, items, values))
+                shard_index += 1
+                filled = 0
+        n_new += block.ratings.size
+    if filled:
+        shards.extend(
+            _flush_chunk(
+                directory, shard_index, users[:filled], items[:filled], values[:filled]
+            )
+        )
         shard_index += 1
     if n_new == 0:
         raise DataFormatError(f"ratings file {csv_path} contains no interactions")

@@ -90,30 +90,30 @@ class ItemKNN(Recommender):
         """Build the top-``k`` neighbour graph with the blocked gram scan.
 
         The gram diagonal (the squared item norms every denominator needs)
-        comes first from doubly-restricted products.  Each ``_SCAN_BLOCK``-row
-        stripe of the gram is then computed with a restricted product,
-        divided by its shrunk norm products, and pruned on the spot: a row
+        comes first, from one ``np.bincount`` of the squared ratings over
+        their item columns.  Each ``_SCAN_BLOCK``-row stripe of the gram is
+        then computed with a restricted product, divided by its shrunk norm
+        products, and pruned on the spot: a row
         with more than ``k`` nonzeros drops everything below its
         ``k``-th largest value (ties survive).
         """
         n_items = train.n_items
         matrix = train.to_csc().astype(np.float64)
         item_rows = matrix.T.tocsr()  # items x users; row i is item i's ratings
-        stripes = [
-            (start, min(start + _SCAN_BLOCK, n_items))
-            for start in range(0, n_items, _SCAN_BLOCK)
-        ]
 
-        diagonal = np.zeros(n_items, dtype=np.float64)
-        for start, stop in stripes:
-            product = (item_rows[start:stop] @ matrix[:, start:stop]).toarray()
-            diagonal[start:stop] = product.diagonal()
-        norms = np.sqrt(diagonal)
+        # Squared item norms: each entry's r·r summed from 0 into its column,
+        # in CSC entry order — the additions the gram product makes for its
+        # diagonal, so the norms are the same bits.
+        columns = np.repeat(np.arange(n_items), np.diff(matrix.indptr))
+        norms = np.sqrt(
+            np.bincount(columns, weights=matrix.data * matrix.data, minlength=n_items)
+        )
 
         rows: list[np.ndarray] = []
         cols: list[np.ndarray] = []
         values: list[np.ndarray] = []
-        for start, stop in stripes:
+        for start in range(0, n_items, _SCAN_BLOCK):
+            stop = min(start + _SCAN_BLOCK, n_items)
             block = (item_rows[start:stop] @ matrix).toarray()
             denom = np.outer(norms[start:stop], norms) + self.shrinkage
             denom[denom == 0.0] = 1.0

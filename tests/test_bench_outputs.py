@@ -154,6 +154,18 @@ def test_batch_scoring_bench_records_an_unequal_leg(monkeypatch, tmp_path):
     assert payload["equal"] is False
 
 
+def test_smoke_pass_leaves_the_committed_outputs_alone(monkeypatch, tmp_path, capsys):
+    """``run_all.py --smoke`` writes and validates in a scratch directory."""
+    import run_all
+
+    committed = tmp_path / "committed"
+    monkeypatch.setattr(bench_json, "OUTPUT_DIR", committed)
+    assert run_all.main(["--smoke", "--only", "scale"]) == 0
+    assert "validated" in capsys.readouterr().out
+    assert not committed.exists()
+    assert bench_json.OUTPUT_DIR == committed
+
+
 def test_validator_rejects_malformed_payloads():
     assert bench_json.validate_payload([]) != []
     assert bench_json.validate_payload({"schema": 0}) != []

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.data.dataset import RatingDataset
@@ -364,6 +364,193 @@ def test_float32_scoring_stays_within_tolerance(seed, n_users, n_items, n_rows):
     reference = ItemKNN(5).fit(dataset).predict_matrix()
     scores = ItemKNN(5, dtype="float32").fit(dataset).predict_matrix()
     assert np.max(np.abs(scores - reference)) < FLOAT32_ATOL
+
+
+# --------------------------------------------------------------------------- #
+# Block CSV parser vs the per-line reader it replaced
+# --------------------------------------------------------------------------- #
+def _reference_coerce_id(token):
+    try:
+        return int(token)
+    except ValueError:
+        return token
+
+
+def reference_rating_rows(path, *, default_rating=1.0):
+    """The per-line ``iter_rating_rows`` the block parser replaced, verbatim."""
+    from repro.exceptions import DataFormatError
+
+    with open(path, "r", encoding="utf-8") as handle:
+        for number, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = [part.strip() for part in line.split(",")]
+            if len(parts) not in (2, 3):
+                raise DataFormatError(
+                    f"{path}:{number}: expected 'user,item[,rating]', got {line!r}"
+                )
+            try:
+                rating = float(parts[2]) if len(parts) == 3 else default_rating
+            except ValueError as exc:
+                if number == 1:
+                    continue  # header line
+                raise DataFormatError(
+                    f"{path}:{number}: rating {parts[2]!r} is not a number"
+                ) from exc
+            yield (
+                number,
+                _reference_coerce_id(parts[0]),
+                _reference_coerce_id(parts[1]),
+                rating,
+            )
+
+
+def _drain(rows):
+    """Every row an iterator yields, then the message of the error it raised."""
+    from repro.exceptions import DataFormatError
+
+    collected = []
+    try:
+        for row in rows:
+            collected.append(row)
+    except DataFormatError as exc:
+        return collected, str(exc)
+    return collected, None
+
+
+_PADDING = st.sampled_from(["", "", " ", "\t", "  ", "\u00a0", "\x1c"])
+#: Few ids, many spellings of one: ``1``/``01``/``+1`` and ``3``/``+3``/``٣``
+#: coerce to one int each, ``10``/``1_0`` too, so per-token coercion must
+#: dedupe what it assigns.
+_ID_TOKENS = st.sampled_from(
+    ["0", "1", "01", "+1", "3", "+3", "٣", "10", "1_0", "-2", "u1", "x", ""]
+)
+_NUMBERS = st.one_of(
+    st.sampled_from(["1", "2.5", "4.0", "-0.0", "1e3", "1_0", ".5"]),
+    st.sampled_from(["nan", "NaN", "-nan", "inf", "-Infinity"]),
+)
+_NOT_NUMBERS = st.sampled_from(["x", "rating", "4..0", "", "1__0"])
+
+
+@st.composite
+def _field(draw, tokens):
+    return draw(_PADDING) + draw(tokens) + draw(_PADDING)
+
+
+@st.composite
+def rating_csv_text(draw):
+    """CSV text mixing every shape the ratings reader accepts or rejects.
+
+    Half the files may hold malformed lines (non-numeric ratings past line 1,
+    wrong field counts), often several, so the earliest one must win.
+    """
+    malformed = draw(st.booleans())
+    lines = []
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(["user,item,rating", "u , i , r", "user,item"])))
+    row = st.one_of(
+        st.tuples(_field(_ID_TOKENS), _field(_ID_TOKENS)),
+        st.tuples(_field(_ID_TOKENS), _field(_ID_TOKENS), _field(_NUMBERS)),
+    )
+    skipped = st.one_of(
+        _PADDING, st.sampled_from(["#", "# comment", "  # indented, comment", "#1,2,3,4"])
+    )
+    unrated = st.tuples(_field(_ID_TOKENS), _field(_ID_TOKENS), _field(_NOT_NUMBERS))
+    misshapen = st.one_of(
+        st.lists(_field(_ID_TOKENS), min_size=1, max_size=1),
+        st.lists(_field(_NUMBERS), min_size=4, max_size=5),
+    )
+    line = (
+        st.one_of(row, row, skipped, unrated, misshapen)
+        if malformed
+        else st.one_of(row, row, skipped)
+    )
+    for fields in draw(st.lists(line, max_size=14)):
+        lines.append(fields if isinstance(fields, str) else ",".join(fields))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and draw(st.booleans()):
+        text = text[: -len(ends[-1])]  # no newline at end of file
+    return text
+
+
+def _reference_store(csv_path, chunk_size):
+    """File name -> bytes of a fresh store built from the reference reader."""
+    import io
+    import json
+
+    from repro.data.outofcore import INGEST_FORMAT
+
+    user_map, item_map, rows = {}, {}, []
+    for _, user, item, rating in reference_rating_rows(csv_path):
+        rows.append((user_map.setdefault(user, len(user_map)),
+                     item_map.setdefault(item, len(item_map)), rating))
+    files, shards = {}, []
+    for index, start in enumerate(range(0, len(rows), chunk_size)):
+        chunk = rows[start : start + chunk_size]
+        for column, dtype, values in zip(
+            ("users", "items", "ratings"), (np.int64, np.int64, np.float64), zip(*chunk)
+        ):
+            buffer = io.BytesIO()
+            np.save(buffer, np.asarray(values, dtype=dtype))
+            name = f"shards/{column}_{index:05d}.npy"
+            files[name] = buffer.getvalue()
+            shards.append(name)
+
+    def dump(payload):
+        return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+    files["user_ids.json"] = dump(list(user_map))
+    files["item_ids.json"] = dump(list(item_map))
+    files["manifest.json"] = dump({
+        "format": INGEST_FORMAT, "n_ratings": len(rows), "n_users": len(user_map),
+        "n_items": len(item_map), "revision": 1, "shard_size": chunk_size, "shards": shards,
+    })
+    return files
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=rating_csv_text(), block_lines=st.integers(1, 3), chunk_size=st.integers(1, 5))
+# Two errors in one block, the rating error first; valid rows precede it.
+@example(text="1,2,3\n4,5,x\n6\n", block_lines=3, chunk_size=2)
+# A header-like line opening a later block is an error, not a header.
+@example(text="1,2,3\nu,i,r\n", block_lines=1, chunk_size=1)
+# Spellings of one id within a block and across blocks, CRLF endings.
+@example(text="user,item,rating\r\n01,+3,1\r\n1,3,2\r\n+1,٣,nan\r\n1_0,10", block_lines=3, chunk_size=2)
+def test_block_parser_matches_the_per_line_reader(text, block_lines, chunk_size):
+    """Same rows (ids, types, NaN ratings) or the same first error, at any block
+    length; for valid files, a store byte-identical to the per-line ingest."""
+    import tempfile
+    from pathlib import Path
+    from unittest import mock
+
+    from repro.data import incremental
+    from repro.data.outofcore import ingest_csv
+    from repro.exceptions import DataFormatError
+
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        incremental, "_BLOCK_LINES", block_lines
+    ):
+        path = Path(tmp) / "ratings.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = _drain(reference_rating_rows(path))
+        got = _drain(incremental.iter_rating_rows(path))
+        assert repr(got) == repr(expected)
+
+        rows, error = expected
+        if error is not None or not rows:
+            with pytest.raises(DataFormatError):
+                ingest_csv(path, Path(tmp) / "store", chunk_size=chunk_size)
+            return
+        ingest_csv(path, Path(tmp) / "store", chunk_size=chunk_size)
+        store = Path(tmp) / "store"
+        written = {
+            str(file.relative_to(store)): file.read_bytes()
+            for file in store.rglob("*")
+            if file.is_file()
+        }
+        assert written == _reference_store(path, chunk_size)
 
 
 if __name__ == "__main__":  # pragma: no cover
