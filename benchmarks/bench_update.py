@@ -1,6 +1,6 @@
 """Delta-update benchmark: ``compile --update`` vs. a from-scratch recompile.
 
-Builds a bare MostPopular pipeline on the synthetic ML-100K profile,
+Builds a bare ItemKNN pipeline on the synthetic ML-1M profile,
 compiles a baseline artifact, and then measures the two ingestion paths an
 operator can take when new ratings arrive:
 
@@ -15,8 +15,8 @@ operator can take when new ratings arrive:
 Two delta shapes are measured, because they exercise opposite ends of the
 update path:
 
-* **rating delta** (``--delta-events`` appended ratings) — the popularity
-  state changes, so every row is recomputed and the win over scratch is
+* **rating delta** (``--delta-events`` appended ratings) — the item-item
+  similarity state changes, so every row is recomputed and the win over scratch is
   the avoided full refit plus skipped unchanged shards;
 * **cold-start delta** (``--coldstart-users`` new users, no ratings) — the
   model state is bitwise unchanged, so the narrowed path recomputes only

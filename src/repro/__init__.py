@@ -21,152 +21,110 @@ Quickstart
 >>> top5 = model.fit(split.train).recommend_all(5)
 """
 
-from repro.data import (
-    RatingDataset,
-    TrainTestSplit,
-    RatioSplitter,
-    LeaveKOutSplitter,
-    split_ratings,
-    PopularityStats,
-    long_tail_items,
-    SyntheticConfig,
-    SyntheticDatasetFactory,
-    DATASET_PROFILES,
-    make_dataset,
-)
-from repro.preferences import (
-    ActivityPreference,
-    NormalizedLongTailPreference,
-    TfidfPreference,
-    GeneralizedPreference,
-    RandomPreference,
-    ConstantPreference,
-    PreferenceResult,
-    make_preference_model,
-)
-from repro.recommenders import (
-    MostPopular,
-    RandomRecommender,
-    RSVD,
-    PureSVD,
-    CofiRank,
-    ItemKNN,
-    make_recommender,
-)
-from repro.coverage import (
-    RandomCoverage,
-    StaticCoverage,
-    DynamicCoverage,
-    CoverageState,
-    DeltaSnapshots,
-    make_coverage,
-)
-from repro.ganc import GANC, GANCConfig, OSLGOptimizer, LocallyGreedyOptimizer, GaussianKDE
-from repro.rerankers import (
-    RankingBasedTechnique,
-    ResourceAllocation5D,
-    PersonalizedRankingAdaptation,
-    make_reranker,
-)
-from repro.metrics import MetricReport, evaluate_top_n
-from repro.evaluation import Evaluator, AllUnratedItemsProtocol, RatedTestItemsProtocol
-from repro.registry import available, create, register
-from repro.pipeline import (
-    Pipeline,
-    PipelineSpec,
-    ComponentSpec,
-    DatasetSpec,
-    EvaluationSpec,
-    ExecutionSpec,
-    GANCSpec,
-    ganc_spec,
-)
-from repro.parallel import Executor, resolve_executor
-from repro.serving import (
-    AsyncRecommendationService,
-    RecommendationStore,
-    build_async_service,
-    compile_artifact,
-    load_manifest,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # data
-    "RatingDataset",
-    "TrainTestSplit",
-    "RatioSplitter",
-    "LeaveKOutSplitter",
-    "split_ratings",
-    "PopularityStats",
-    "long_tail_items",
-    "SyntheticConfig",
-    "SyntheticDatasetFactory",
-    "DATASET_PROFILES",
-    "make_dataset",
-    # preferences
-    "ActivityPreference",
-    "NormalizedLongTailPreference",
-    "TfidfPreference",
-    "GeneralizedPreference",
-    "RandomPreference",
-    "ConstantPreference",
-    "PreferenceResult",
-    "make_preference_model",
-    # recommenders
-    "MostPopular",
-    "RandomRecommender",
-    "RSVD",
-    "PureSVD",
-    "CofiRank",
-    "ItemKNN",
-    "make_recommender",
-    # coverage
-    "RandomCoverage",
-    "StaticCoverage",
-    "DynamicCoverage",
-    "CoverageState",
-    "DeltaSnapshots",
-    "make_coverage",
-    # GANC
-    "GANC",
-    "GANCConfig",
-    "OSLGOptimizer",
-    "LocallyGreedyOptimizer",
-    "GaussianKDE",
-    # re-ranking baselines
-    "RankingBasedTechnique",
-    "ResourceAllocation5D",
-    "PersonalizedRankingAdaptation",
-    "make_reranker",
-    # evaluation
-    "MetricReport",
-    "evaluate_top_n",
-    "Evaluator",
-    "AllUnratedItemsProtocol",
-    "RatedTestItemsProtocol",
-    # component registry
-    "register",
-    "create",
-    "available",
-    # pipeline API
-    "Pipeline",
-    "PipelineSpec",
-    "ComponentSpec",
-    "DatasetSpec",
-    "EvaluationSpec",
-    "ExecutionSpec",
-    "GANCSpec",
-    "ganc_spec",
-    # parallel execution
-    "Executor",
-    "resolve_executor",
-    # serving
-    "RecommendationStore",
-    "compile_artifact",
-    "load_manifest",
-    "AsyncRecommendationService",
-    "build_async_service",
-]
+#: Public name -> the subpackage it is imported from on first access, so
+#: ``import repro`` (and with it ``python -m repro``) imports no subpackage.
+_EXPORTS = {
+    **dict.fromkeys(
+        (
+            "RatingDataset",
+            "TrainTestSplit",
+            "RatioSplitter",
+            "LeaveKOutSplitter",
+            "split_ratings",
+            "PopularityStats",
+            "long_tail_items",
+            "SyntheticConfig",
+            "SyntheticDatasetFactory",
+            "DATASET_PROFILES",
+            "make_dataset",
+        ),
+        "repro.data",
+    ),
+    **dict.fromkeys(
+        (
+            "ActivityPreference",
+            "NormalizedLongTailPreference",
+            "TfidfPreference",
+            "GeneralizedPreference",
+            "RandomPreference",
+            "ConstantPreference",
+            "PreferenceResult",
+            "make_preference_model",
+        ),
+        "repro.preferences",
+    ),
+    **dict.fromkeys(
+        (
+            "MostPopular",
+            "RandomRecommender",
+            "RSVD",
+            "PureSVD",
+            "CofiRank",
+            "ItemKNN",
+            "make_recommender",
+        ),
+        "repro.recommenders",
+    ),
+    **dict.fromkeys(
+        (
+            "RandomCoverage",
+            "StaticCoverage",
+            "DynamicCoverage",
+            "CoverageState",
+            "DeltaSnapshots",
+            "make_coverage",
+        ),
+        "repro.coverage",
+    ),
+    **dict.fromkeys(
+        ("GANC", "GANCConfig", "OSLGOptimizer", "LocallyGreedyOptimizer", "GaussianKDE"),
+        "repro.ganc",
+    ),
+    **dict.fromkeys(
+        (
+            "RankingBasedTechnique",
+            "ResourceAllocation5D",
+            "PersonalizedRankingAdaptation",
+            "make_reranker",
+        ),
+        "repro.rerankers",
+    ),
+    **dict.fromkeys(("MetricReport", "evaluate_top_n"), "repro.metrics"),
+    **dict.fromkeys(
+        ("Evaluator", "AllUnratedItemsProtocol", "RatedTestItemsProtocol"),
+        "repro.evaluation",
+    ),
+    **dict.fromkeys(("register", "create", "available"), "repro.registry"),
+    **dict.fromkeys(
+        (
+            "Pipeline",
+            "PipelineSpec",
+            "ComponentSpec",
+            "DatasetSpec",
+            "EvaluationSpec",
+            "ExecutionSpec",
+            "GANCSpec",
+            "ganc_spec",
+        ),
+        "repro.pipeline",
+    ),
+    **dict.fromkeys(("Executor", "resolve_executor"), "repro.parallel"),
+    **dict.fromkeys(
+        (
+            "RecommendationStore",
+            "compile_artifact",
+            "load_manifest",
+            "AsyncRecommendationService",
+            "build_async_service",
+        ),
+        "repro.serving",
+    ),
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -19,6 +19,10 @@ table/figure reports and optionally writes them to ``--output``.  The
 ``recommend`` subcommand is sugar over a :class:`~repro.pipeline.PipelineSpec`
 (``--dump-spec`` writes the equivalent JSON); ``run`` executes any spec file
 and can persist/serve fitted pipelines.
+
+Each handler imports the experiment, report, serving and simulation code it
+runs, so a command loads only what it calls: ``repro compile --update``
+imports no experiment runner, no simulator and no asyncio tier.
 """
 
 from __future__ import annotations
@@ -32,19 +36,8 @@ from typing import Callable, Sequence
 
 from repro.data.io import save_recommendations_csv
 from repro.exceptions import ConfigurationError
-from repro.experiments.ablations import run_ordering_ablation, run_oslg_vs_greedy
 from repro.experiments.datasets import EXPERIMENT_DATASETS
-from repro.experiments.figure1 import run_figure1
-from repro.experiments.figure2 import run_figure2
-from repro.experiments.figure3_4 import run_figure3, run_figure4
-from repro.experiments.figure5 import run_figure5
-from repro.experiments.figure6 import run_figure6
-from repro.experiments.figure7_8 import run_figure7_8
-from repro.experiments.report_writer import ReportConfig, generate_report, write_report
 from repro.experiments.runner import ExperimentTable
-from repro.experiments.table2 import run_table2
-from repro.experiments.table4 import run_table4
-from repro.experiments.table5 import run_table5
 from repro.pipeline import (
     ComponentSpec,
     DatasetSpec,
@@ -223,23 +216,31 @@ def _add_common_arguments(parser: argparse.ArgumentParser, *, with_datasets: boo
 
 
 def _cmd_table2(args: argparse.Namespace) -> int:
+    from repro.experiments.table2 import run_table2
+
     _emit(run_table2(datasets=args.datasets, scale=args.scale, seed=args.seed), args.output)
     return 0
 
 
 def _cmd_figure1(args: argparse.Namespace) -> int:
+    from repro.experiments.figure1 import run_figure1
+
     _, table = run_figure1(datasets=args.datasets, scale=args.scale, seed=args.seed)
     _emit(table, args.output)
     return 0
 
 
 def _cmd_figure2(args: argparse.Namespace) -> int:
+    from repro.experiments.figure2 import run_figure2
+
     _, table = run_figure2(datasets=args.datasets, scale=args.scale, seed=args.seed)
     _emit(table, args.output)
     return 0
 
 
 def _cmd_figure3(args: argparse.Namespace) -> int:
+    from repro.experiments.figure3_4 import run_figure3
+
     _, table = run_figure3(
         sample_sizes=tuple(args.sample_sizes), bandwidth=args.bandwidth,
         scale=args.scale, seed=args.seed,
@@ -250,6 +251,8 @@ def _cmd_figure3(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure4(args: argparse.Namespace) -> int:
+    from repro.experiments.figure3_4 import run_figure4
+
     _, table = run_figure4(
         sample_sizes=tuple(args.sample_sizes), bandwidth=args.bandwidth,
         scale=args.scale, seed=args.seed,
@@ -260,6 +263,8 @@ def _cmd_figure4(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure5(args: argparse.Namespace) -> int:
+    from repro.experiments.figure5 import run_figure5
+
     _, table = run_figure5(
         dataset_key=args.dataset,
         n_values=tuple(args.n_values),
@@ -274,6 +279,8 @@ def _cmd_figure5(args: argparse.Namespace) -> int:
 
 
 def _cmd_table4(args: argparse.Namespace) -> int:
+    from repro.experiments.table4 import run_table4
+
     _, table = run_table4(
         datasets=args.datasets, scale=args.scale, sample_size=args.sample_size,
         seed=args.seed, block_size=args.block_size, n_jobs=args.jobs,
@@ -283,6 +290,8 @@ def _cmd_table4(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure6(args: argparse.Namespace) -> int:
+    from repro.experiments.figure6 import run_figure6
+
     _, table = run_figure6(
         datasets=args.datasets, scale=args.scale, sample_size=args.sample_size,
         seed=args.seed, block_size=args.block_size, n_jobs=args.jobs,
@@ -292,12 +301,16 @@ def _cmd_figure6(args: argparse.Namespace) -> int:
 
 
 def _cmd_table5(args: argparse.Namespace) -> int:
+    from repro.experiments.table5 import run_table5
+
     _, table = run_table5(datasets=args.datasets, scale=args.scale, seed=args.seed)
     _emit(table, args.output)
     return 0
 
 
 def _cmd_figure7_8(args: argparse.Namespace) -> int:
+    from repro.experiments.figure7_8 import run_figure7_8
+
     _, table = run_figure7_8(
         datasets=tuple(args.datasets or ("ml100k", "ml1m")), scale=args.scale,
         seed=args.seed, block_size=args.block_size, n_jobs=args.jobs,
@@ -307,6 +320,8 @@ def _cmd_figure7_8(args: argparse.Namespace) -> int:
 
 
 def _cmd_ablation_oslg(args: argparse.Namespace) -> int:
+    from repro.experiments.ablations import run_oslg_vs_greedy
+
     _, table = run_oslg_vs_greedy(
         dataset_key=args.dataset, scale=args.scale, seed=args.seed,
         block_size=args.block_size, n_jobs=args.jobs,
@@ -316,6 +331,8 @@ def _cmd_ablation_oslg(args: argparse.Namespace) -> int:
 
 
 def _cmd_ablation_ordering(args: argparse.Namespace) -> int:
+    from repro.experiments.ablations import run_ordering_ablation
+
     _, table = run_ordering_ablation(
         dataset_key=args.dataset, scale=args.scale, seed=args.seed,
         block_size=args.block_size, n_jobs=args.jobs,
@@ -326,6 +343,8 @@ def _cmd_ablation_ordering(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     """Generate the combined markdown report."""
+    from repro.experiments.report_writer import ReportConfig, generate_report, write_report
+
     config = ReportConfig(
         datasets=tuple(args.datasets or ("ml100k", "ml1m")),
         scale=args.scale,

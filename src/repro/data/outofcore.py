@@ -35,7 +35,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from itertools import filterfalse
 from pathlib import Path
 
 import numpy as np
@@ -123,27 +122,35 @@ def load_ingest_manifest(directory: str | Path) -> dict:
     return payload
 
 
-def _read_id_map(path: Path) -> dict[object, int]:
+class _DenseIndex(dict):
+    """Raw id → dense index map that gives an unseen raw id the next index."""
+
+    def __missing__(self, raw: object) -> int:
+        index = self[raw] = len(self)
+        return index
+
+
+def _read_id_map(path: Path) -> _DenseIndex:
     """Load a raw→dense id map from its JSON list (dense order)."""
     try:
         raw_ids = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"cannot read id map {path}: {exc}") from exc
-    return {raw: index for index, raw in enumerate(raw_ids)}
+    return _DenseIndex(zip(raw_ids, range(len(raw_ids))))
 
 
-def _dense_codes(tokens: list[str], id_map: dict[object, int]) -> np.ndarray:
+def _dense_codes(tokens: list[str], id_map: _DenseIndex) -> np.ndarray:
     """Dense index of each id token, growing ``id_map`` in first-appearance order.
 
-    Each distinct token is coerced once (:func:`raw_id_table`); raw ids not yet
-    in the map get the next indices in the order of their first row, exactly
-    as a per-row ``id_map.setdefault(raw, len(id_map))`` would assign them.
+    Each distinct token is coerced once (:func:`raw_id_table`); mapping the raw
+    ids through ``id_map`` in row order gives a raw id not yet in the map the
+    next index at its first row, exactly as a per-row
+    ``id_map.setdefault(raw, len(id_map))`` would.
     """
     raw = raw_id_table(tokens)
-    fresh = list(filterfalse(id_map.__contains__, dict.fromkeys(raw.values())))
-    id_map.update(zip(fresh, range(len(id_map), len(id_map) + len(fresh))))
-    dense = dict(zip(raw, map(id_map.__getitem__, raw.values())))
-    return np.fromiter(map(dense.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+    return np.fromiter(
+        map(id_map.__getitem__, map(raw.__getitem__, tokens)), dtype=np.int64, count=len(tokens)
+    )
 
 
 def _flush_chunk(
@@ -231,8 +238,8 @@ def ingest_csv(
                 f"refusing to create an ingest store in non-empty {directory}"
             )
         manifest = None
-        user_map = {}
-        item_map = {}
+        user_map = _DenseIndex()
+        item_map = _DenseIndex()
         shards = []
         n_existing = 0
         revision = 0

@@ -21,6 +21,12 @@ else is rejected loudly (a component holding un-persistable state should
 override what it stores, not be silently half-saved).  Coverage recommenders
 are *not* persisted — their fit is a cheap, deterministic state
 initialization that re-runs at load time.
+
+Both ``.npz`` files are written uncompressed (``np.savez``): a rating-delta
+update saves the pipeline back on every delta, and deflating took nearly all
+of that save's time.  ``np.load`` reads either form, so a directory written
+compressed by an earlier version loads to the same arrays and is rewritten
+uncompressed by its next save.
 """
 
 from __future__ import annotations
@@ -152,7 +158,7 @@ def _dataset_arrays(dataset: RatingDataset, prefix: str) -> dict[str, np.ndarray
 
 
 def save_split_npz(split: TrainTestSplit, path: str | Path) -> Path:
-    """Write a train/test split as one compressed ``.npz`` file."""
+    """Write a train/test split as one uncompressed ``.npz`` file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -165,7 +171,7 @@ def save_split_npz(split: TrainTestSplit, path: str | Path) -> Path:
         "train_name": np.str_(split.train.name),
         "test_name": np.str_(split.test.name),
     }
-    np.savez_compressed(path, **payload)
+    np.savez(path, **payload)
     return path
 
 

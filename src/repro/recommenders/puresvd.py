@@ -10,7 +10,6 @@ configurations, PSVD10 and PSVD100 (10 and 100 latent factors).
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse.linalg import svds
 
 from repro.data.dataset import RatingDataset
 from repro.exceptions import ConfigurationError
@@ -52,6 +51,10 @@ class PureSVD(Recommender):
         # pipeline does not).  A fixed start vector makes every fit
         # deterministic on its own.
         v0 = np.ones(min(matrix.shape), dtype=np.float64)
+        # Imported here, not with the module: this fit is the only user of
+        # scipy.sparse.linalg, which loads scipy.linalg with it.
+        from scipy.sparse.linalg import svds
+
         u, s, vt = svds(matrix, k=k, v0=v0)
         # svds returns singular values in ascending order; flip to descending.
         order = np.argsort(-s)

@@ -39,55 +39,52 @@ the service answers with exactly the bytes the payload builders produce
 for that lookup (asserted in ``tests/test_serving.py`` /
 ``tests/test_serving_async.py`` for every registered recommender family
 and for GANC).
+
+Each public name is imported from its submodule on first access, so a
+process that compiles or updates an artifact never imports the asyncio tier.
 """
 
-from repro.serving.artifact import (
-    ARTIFACT_FORMAT_VERSION,
-    DEFAULT_SHARD_SIZE,
-    compile_artifact,
-    load_manifest,
-    serving_environment,
-    spec_hash,
-)
-from repro.serving.async_service import (
-    DEFAULT_COALESCE_MAX,
-    DEFAULT_COALESCE_WINDOW_US,
-    AsyncRecommendationService,
-    AsyncServiceHandle,
-    CoalescingBatcher,
-    build_async_service,
-    serve_async,
-    start_async_in_thread,
-)
-from repro.serving.store import RecommendationStore, open_store
-from repro.serving.update import (
-    RefitReport,
-    UpdateReport,
-    compile_artifact_update,
-    ingest_and_update,
-    refit_pipeline,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ARTIFACT_FORMAT_VERSION",
-    "DEFAULT_SHARD_SIZE",
-    "DEFAULT_COALESCE_MAX",
-    "DEFAULT_COALESCE_WINDOW_US",
-    "compile_artifact",
-    "load_manifest",
-    "serving_environment",
-    "spec_hash",
-    "RefitReport",
-    "UpdateReport",
-    "compile_artifact_update",
-    "ingest_and_update",
-    "refit_pipeline",
-    "RecommendationStore",
-    "open_store",
-    "AsyncRecommendationService",
-    "AsyncServiceHandle",
-    "CoalescingBatcher",
-    "build_async_service",
-    "serve_async",
-    "start_async_in_thread",
-]
+#: Public name -> the submodule it is imported from on first access.
+_EXPORTS = {
+    **dict.fromkeys(
+        (
+            "ARTIFACT_FORMAT_VERSION",
+            "DEFAULT_SHARD_SIZE",
+            "compile_artifact",
+            "load_manifest",
+            "serving_environment",
+            "spec_hash",
+        ),
+        "repro.serving.artifact",
+    ),
+    **dict.fromkeys(
+        (
+            "RefitReport",
+            "UpdateReport",
+            "compile_artifact_update",
+            "ingest_and_update",
+            "refit_pipeline",
+        ),
+        "repro.serving.update",
+    ),
+    **dict.fromkeys(("RecommendationStore", "open_store"), "repro.serving.store"),
+    **dict.fromkeys(
+        (
+            "DEFAULT_COALESCE_MAX",
+            "DEFAULT_COALESCE_WINDOW_US",
+            "AsyncRecommendationService",
+            "AsyncServiceHandle",
+            "CoalescingBatcher",
+            "build_async_service",
+            "serve_async",
+            "start_async_in_thread",
+        ),
+        "repro.serving.async_service",
+    ),
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

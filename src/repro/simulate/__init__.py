@@ -10,73 +10,57 @@ back into the dynamic coverage state, while windowed drift metrics track
 how accuracy, novelty and item-space coverage evolve under traffic.
 
 Entry points: :func:`run_simulation` (library), ``repro simulate`` (CLI).
+
+Each public name is imported from its submodule on first access.
 """
 
-from repro.simulate.engine import (
-    ShardReplayTask,
-    SimulationConfig,
-    SimulationResult,
-    run_simulation,
-)
-from repro.simulate.events import (
-    KIND_COLD,
-    KIND_EXISTING,
-    KIND_RETURNING,
-    Trace,
-    label_kinds,
-)
-from repro.simulate.feedback import (
-    FEEDBACK_MODELS,
-    AcceptAll,
-    FeedbackModel,
-    PositionBiased,
-    ThresholdOnScore,
-    create_feedback,
-)
-from repro.simulate.report import (
-    REPORT_SCHEMA_VERSION,
-    canonical_bytes,
-    load_report,
-    validate_report,
-    write_report,
-)
-from repro.simulate.scenarios import SCENARIOS, build_trace
-from repro.simulate.sources import (
-    SOURCE_KINDS,
-    HTTPSource,
-    PipelineSource,
-    RecommendationSource,
-    StoreSource,
-    create_source,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AcceptAll",
-    "FEEDBACK_MODELS",
-    "FeedbackModel",
-    "HTTPSource",
-    "KIND_COLD",
-    "KIND_EXISTING",
-    "KIND_RETURNING",
-    "PipelineSource",
-    "PositionBiased",
-    "REPORT_SCHEMA_VERSION",
-    "RecommendationSource",
-    "SCENARIOS",
-    "SOURCE_KINDS",
-    "ShardReplayTask",
-    "SimulationConfig",
-    "SimulationResult",
-    "StoreSource",
-    "ThresholdOnScore",
-    "Trace",
-    "build_trace",
-    "canonical_bytes",
-    "create_feedback",
-    "create_source",
-    "label_kinds",
-    "load_report",
-    "run_simulation",
-    "validate_report",
-    "write_report",
-]
+#: Public name -> the submodule it is imported from on first access.
+_EXPORTS = {
+    **dict.fromkeys(
+        ("ShardReplayTask", "SimulationConfig", "SimulationResult", "run_simulation"),
+        "repro.simulate.engine",
+    ),
+    **dict.fromkeys(
+        ("KIND_COLD", "KIND_EXISTING", "KIND_RETURNING", "Trace", "label_kinds"),
+        "repro.simulate.events",
+    ),
+    **dict.fromkeys(
+        (
+            "FEEDBACK_MODELS",
+            "AcceptAll",
+            "FeedbackModel",
+            "PositionBiased",
+            "ThresholdOnScore",
+            "create_feedback",
+        ),
+        "repro.simulate.feedback",
+    ),
+    **dict.fromkeys(
+        (
+            "REPORT_SCHEMA_VERSION",
+            "canonical_bytes",
+            "load_report",
+            "validate_report",
+            "write_report",
+        ),
+        "repro.simulate.report",
+    ),
+    **dict.fromkeys(("SCENARIOS", "build_trace"), "repro.simulate.scenarios"),
+    **dict.fromkeys(
+        (
+            "SOURCE_KINDS",
+            "HTTPSource",
+            "PipelineSource",
+            "RecommendationSource",
+            "StoreSource",
+            "create_source",
+        ),
+        "repro.simulate.sources",
+    ),
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

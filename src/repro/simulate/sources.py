@@ -24,8 +24,6 @@ source, which forces strictly in-order sequential consumption.
 from __future__ import annotations
 
 import json
-import urllib.error
-import urllib.request
 from abc import ABC, abstractmethod
 from pathlib import Path
 
@@ -201,6 +199,11 @@ class HTTPSource(RecommendationSource):
         self._n_items = int(n_items)
 
     def _get(self, path: str) -> bytes:
+        # Imported on use: urllib.request loads http.client and ssl, and the
+        # CLI imports this module for its --source choices in every command.
+        import urllib.error
+        import urllib.request
+
         try:
             with urllib.request.urlopen(self.base_url + path, timeout=self.timeout) as response:
                 return response.read()

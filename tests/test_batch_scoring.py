@@ -35,7 +35,7 @@ from repro.recommenders.registry import make_recommender
 from repro.recommenders.rsvd import RSVD
 from repro.recommenders.user_knn import UserKNN
 from repro.registry import available
-from repro.utils.topn import iter_user_blocks, top_n_indices, top_n_matrix
+from repro.utils.topn import gather_scores, iter_user_blocks, top_n_indices, top_n_matrix
 
 ALL_RECOMMENDERS = available("recommender")
 N = 5
@@ -255,19 +255,38 @@ def test_independent_branch_matches_sequential_loop(small_split, fitted_models, 
     coverage = coverage_factory().fit(train)
     rng = np.random.default_rng(5)
     theta = rng.random(train.n_users)
-    accuracy = lambda users: model.unit_scores_pair(users, N)  # noqa: E731
     optimizer = LocallyGreedyOptimizer(coverage, N)
 
+    def recording(blocks):
+        """The accuracy provider, keeping every ``(users, raw)`` block it returns."""
+
+        def provider(users):
+            a, raw = model.unit_scores_pair(users, N)
+            blocks.append((np.array(users), raw.copy()))
+            return a, raw
+
+        return provider
+
+    batched_blocks, sequential_blocks = [], []
     batched = optimizer.run_independent(
-        theta, accuracy, train.user_items_batch, n_users=train.n_users, block_size=17
+        theta, recording(batched_blocks), train.user_items_batch,
+        n_users=train.n_users, block_size=17,
     )
     sequential = optimizer.run(
-        theta, accuracy, train.user_items_batch, n_users=train.n_users
+        theta, recording(sequential_blocks), train.user_items_batch, n_users=train.n_users
     )
     np.testing.assert_array_equal(batched.items, sequential.items)
-    # Both paths store the raw scores of the items they chose; one-row and
-    # 17-row GEMM blocks may differ in the last ulps.
-    np.testing.assert_allclose(batched.scores, sequential.scores, rtol=1e-12, atol=0)
+    # Each path stores the raw scores of the items it chose, read from the
+    # blocks it was given.  The two paths' blocks are not compared: a 17-row
+    # and a one-row GEMM may round the same score differently.
+    for result, blocks in ((batched, batched_blocks), (sequential, sequential_blocks)):
+        assert sorted(np.concatenate([users for users, _ in blocks]).tolist()) == list(
+            range(train.n_users)
+        )
+        expected = np.full(result.scores.shape, np.nan)
+        for users, raw in blocks:
+            expected[users] = gather_scores(raw, result.items[users])
+        np.testing.assert_array_equal(result.scores.view(np.uint64), expected.view(np.uint64))
 
 
 def test_run_independent_rejects_dynamic_coverage(small_split, fitted_models):

@@ -16,6 +16,10 @@ import pytest
 from repro.cli import build_parser, main
 from repro.exceptions import ConfigurationError
 
+#: ``repro --help`` (key ``""``) and every subcommand's ``--help`` output at
+#: 80 columns, recorded before the handlers' imports moved into the handlers.
+HELP_GOLDEN = Path(__file__).resolve().parent / "data" / "cli_help.json"
+
 
 def test_parser_knows_every_subcommand():
     parser = build_parser()
@@ -26,6 +30,24 @@ def test_parser_knows_every_subcommand():
         "ablation-oslg", "ablation-ordering", "recommend",
     ):
         assert command in help_text
+
+
+def test_help_texts_match_the_recorded_golden(monkeypatch, capsys):
+    """Every ``--help`` text is byte-identical to the golden.
+
+    The top-level text lists every subcommand, so an added or missing one
+    fails too.  argparse's layout differs between Python lines, so the
+    golden is checked on the line it was recorded with.
+    """
+    golden = json.loads(HELP_GOLDEN.read_text(encoding="utf-8"))
+    running = ".".join(map(str, sys.version_info[:2]))
+    if golden["python"] != running:
+        pytest.skip(f"help golden recorded on Python {golden['python']}, running {running}")
+    monkeypatch.setenv("COLUMNS", "80")
+    for command, expected in golden["help"].items():
+        with pytest.raises(SystemExit):
+            main([command, "--help"] if command else ["--help"])
+        assert capsys.readouterr().out == expected, f"`repro {command} --help` changed"
 
 
 def test_cli_requires_a_subcommand():

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import importlib
+import inspect
 
 import pytest
 
 import repro
 import repro.core as core
+import repro.serving
+import repro.simulate
 
 
 def test_version_is_exposed():
@@ -16,8 +19,21 @@ def test_version_is_exposed():
 
 
 def test_all_names_resolve():
-    for name in repro.__all__:
-        assert hasattr(repro, name), f"repro.__all__ lists {name} but it is missing"
+    """Each lazily re-exported name resolves to its module's own object."""
+    for package in (repro, repro.serving, repro.simulate):
+        listed = dir(package)
+        for name in package.__all__:
+            assert hasattr(package, name), (
+                f"{package.__name__}.__all__ lists {name} but it is missing"
+            )
+            assert name in listed
+            value = getattr(package, name)
+            if inspect.isclass(value) or inspect.isfunction(value):
+                defining = importlib.import_module(value.__module__)
+                assert getattr(defining, value.__name__) is value
+            if name != "__version__":
+                source = importlib.import_module(package._EXPORTS[name])
+                assert getattr(source, name) is value
 
 
 def test_core_facade_names_resolve():

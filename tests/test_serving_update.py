@@ -20,8 +20,12 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
 import shutil
+import subprocess
+import sys
 import threading
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -631,15 +635,47 @@ class TestManifestValidation:
 # --------------------------------------------------------------------------- #
 # CLI end to end
 # --------------------------------------------------------------------------- #
+def _npz_arrays(path: Path) -> dict[str, np.ndarray]:
+    with np.load(path, allow_pickle=False) as payload:
+        return {name: payload[name] for name in payload.files}
+
+
+def _resave_compressed(pipeline_dir: Path) -> None:
+    """Rewrite a pipeline's ``.npz`` files deflated, as saves once wrote them."""
+    for name in ("split.npz", "state.npz"):
+        np.savez_compressed(pipeline_dir / name, **_npz_arrays(pipeline_dir / name))
+
+
+def _assert_stored(pipeline_dir: Path) -> None:
+    for name in ("split.npz", "state.npz"):
+        with zipfile.ZipFile(pipeline_dir / name) as archive:
+            assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_STORED}
+
+
 class TestCliUpdate:
     def test_compile_update_delta_round_trip(self, tmp_path, small_split, capsys):
         pipeline_dir = tmp_path / "pipeline"
         artifact_dir = tmp_path / "artifact"
         Pipeline(_bare_spec("pop")).fit(small_split).save(pipeline_dir)
+        _assert_stored(pipeline_dir)
         assert main(
             ["compile", "--pipeline", str(pipeline_dir),
              "--artifact", str(artifact_dir), "--shard-size", "16"]
         ) == 0
+        # The same pipeline and artifact, with the pipeline's arrays deflated
+        # the way saves wrote them before they stopped compressing.
+        compressed_dir = tmp_path / "compressed-pipeline"
+        compressed_artifact = tmp_path / "compressed-artifact"
+        shutil.copytree(pipeline_dir, compressed_dir)
+        shutil.copytree(artifact_dir, compressed_artifact)
+        _resave_compressed(compressed_dir)
+        for name in ("split.npz", "state.npz"):
+            plain = _npz_arrays(pipeline_dir / name)
+            deflated = _npz_arrays(compressed_dir / name)
+            assert plain.keys() == deflated.keys()
+            for key, array in plain.items():
+                assert deflated[key].dtype == array.dtype
+                assert np.array_equal(deflated[key], array)
 
         train = small_split.train
         delta = tmp_path / "delta.csv"
@@ -649,21 +685,63 @@ class TestCliUpdate:
             f"{train.user_ids[1]},{train.item_ids[7]},1.0\n"
             "brand-new-user,brand-new-item,1.0\n"
         )
-        assert main(
-            [
-                "compile", "--update", "--delta", str(delta),
-                "--pipeline", str(pipeline_dir), "--artifact", str(artifact_dir),
-            ]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "revision 2" in out
-        assert load_manifest(artifact_dir)["revision"] == 2
+        for pipeline, artifact in ((pipeline_dir, artifact_dir), (compressed_dir, compressed_artifact)):
+            assert main(
+                [
+                    "compile", "--update", "--delta", str(delta),
+                    "--pipeline", str(pipeline), "--artifact", str(artifact),
+                ]
+            ) == 0
+            out = capsys.readouterr().out
+            assert "revision 2" in out
+            assert load_manifest(artifact)["revision"] == 2
+            _assert_stored(pipeline)
 
         # The pipeline directory was refitted and saved back in place: the
         # updated artifact equals a from-scratch compile of that pipeline.
         scratch_dir = tmp_path / "scratch"
         compile_artifact(pipeline_dir, scratch_dir, shard_size=16)
         _assert_same_artifact(artifact_dir, scratch_dir)
+        # The compressed directory updated to the same shard bytes.
+        _assert_same_artifact(compressed_artifact, artifact_dir)
+
+    def test_update_process_imports_only_what_it_runs(self, tmp_path, small_split):
+        """A ``compile --update`` process loads no experiment runner, simulator,
+        asyncio tier or ARPACK solver: none of them runs on the delta path."""
+        pipeline_dir = tmp_path / "pipeline"
+        artifact_dir = tmp_path / "artifact"
+        Pipeline(_bare_spec("itemknn")).fit(small_split).save(pipeline_dir)
+        compile_artifact(pipeline_dir, artifact_dir, shard_size=16)
+        train = small_split.train
+        delta = tmp_path / "delta.csv"
+        delta.write_text(f"user,item,rating\n{train.user_ids[0]},{train.item_ids[3]},1.0\n")
+        argv = [
+            "compile", "--update", "--delta", str(delta),
+            "--pipeline", str(pipeline_dir), "--artifact", str(artifact_dir),
+        ]
+        script = (
+            "import json, sys\n"
+            "import repro.cli\n"
+            f"assert repro.cli.main({argv!r}) == 0\n"
+            "print(json.dumps(sorted(sys.modules)))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(src)] + env.get("PYTHONPATH", "").split(os.pathsep))
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        loaded = set(json.loads(completed.stdout.splitlines()[-1]))
+        assert load_manifest(artifact_dir)["revision"] == 2
+        unused = {
+            "asyncio",
+            "scipy.sparse.linalg",
+            "repro.simulate.engine",
+            "repro.experiments.table5",
+            "repro.serving.async_service",
+        }
+        assert not unused & loaded
 
     def test_update_flag_combinations_rejected(self, tmp_path, small_split):
         pipeline_dir = tmp_path / "pipeline"
