@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.data.split import RatioSplitter
 from repro.data.synthetic import make_dataset
-from repro.parallel import Executor, effective_n_jobs
+from repro.parallel import effective_n_jobs
 from repro.pipeline import Pipeline, ganc_spec
 from repro.recommenders.registry import make_recommender
 
@@ -62,9 +62,8 @@ def bench_recommend_all(train, jobs, repeats, block_size, lines):
     lines.append(f"{'recommend_all psvd100':<28} {1:>5} {serial_s:>9.4f} {'1.0x':>8}  True")
     best = 0.0
     for n_jobs in jobs:
-        executor = Executor(n_jobs)
         seconds, result = _time(
-            lambda: model.recommend_all(N, block_size=block_size, executor=executor),
+            lambda: model.recommend_all(N, block_size=block_size, n_jobs=n_jobs),
             repeats=repeats,
         )
         equal = bool(np.array_equal(result.items, serial.items))

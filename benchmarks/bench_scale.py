@@ -26,7 +26,12 @@ Run directly::
     PYTHONPATH=src python benchmarks/bench_scale.py                  # full 10M
     PYTHONPATH=src python benchmarks/bench_scale.py --users 2000 \\
         --items 1500 --ratings 100000 --sample-users 256 \\
-        --chunk-size 40000                                           # CI smoke
+        --chunk-size 40000                                           # small run
+
+Both write ``benchmarks/output/BENCH_scale.json`` and ``bench_scale.txt``,
+the committed 10M-rating results.  A smoke run that must leave them as they
+are points :data:`bench_json.OUTPUT_DIR` at a temporary directory and calls
+:func:`main`, as ``run_all.py --smoke`` and the CI scale-smoke step do.
 """
 
 from __future__ import annotations

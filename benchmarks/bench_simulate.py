@@ -32,7 +32,6 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.parallel.executor import Executor
 from repro.pipeline import (
     ComponentSpec,
     DatasetSpec,
@@ -132,14 +131,14 @@ def run_benchmark(
         serial_s, serial = _time(
             lambda: run_simulation(
                 source, config, split=split,
-                executor=Executor(1), trace=trace,
+                n_jobs=1, trace=trace,
             ),
             repeats=repeats,
         )
         threaded_s, threaded = _time(
             lambda: run_simulation(
                 source, config, split=split,
-                executor=Executor(jobs), trace=trace,
+                n_jobs=jobs, trace=trace,
             ),
             repeats=repeats,
         )

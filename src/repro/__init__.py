@@ -112,7 +112,7 @@ _EXPORTS = {
         ),
         "repro.pipeline",
     ),
-    **dict.fromkeys(("Executor", "resolve_executor"), "repro.parallel"),
+    "Executor": "repro.parallel",
     **dict.fromkeys(
         (
             "RecommendationStore",

@@ -47,7 +47,6 @@ from repro.pipeline import (
     Pipeline,
     PipelineSpec,
 )
-from repro.pipeline.spec import LEGACY_BACKENDS
 from repro.ganc.kde import validate_bandwidth
 from repro.simulate.feedback import FEEDBACK_MODELS
 from repro.simulate.scenarios import SCENARIOS
@@ -170,16 +169,6 @@ def _emit(table: ExperimentTable, output: str | None) -> None:
         print(f"\nwritten to {path}")
 
 
-def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend",
-        choices=LEGACY_BACKENDS,
-        default=None,
-        help="accepted for compatibility; has no effect (--jobs alone picks "
-        "the in-order loop or the thread pool)",
-    )
-
-
 def _add_common_arguments(parser: argparse.ArgumentParser, *, with_datasets: bool = True) -> None:
     parser.add_argument(
         "--scale",
@@ -204,7 +193,6 @@ def _add_common_arguments(parser: argparse.ArgumentParser, *, with_datasets: boo
         help="threads the batched score paths fan user blocks out to "
         "(1 = in order; results are byte-identical for any value)",
     )
-    _add_backend_argument(parser)
     if with_datasets:
         parser.add_argument(
             "--datasets",
@@ -574,7 +562,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     """Replay a traffic scenario against a source and report windowed drift."""
-    from repro.parallel.executor import Executor
     from repro.simulate import (
         SimulationConfig,
         create_source,
@@ -606,9 +593,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         from repro.pipeline.persistence import load_split_npz
 
         split = load_split_npz(Path(args.pipeline) / "split.npz")
-    executor = Executor(args.jobs)
     try:
-        result = run_simulation(source, config, split=split, executor=executor)
+        result = run_simulation(source, config, split=split, n_jobs=args.jobs)
     finally:
         source.close()
     report = result.report
@@ -764,7 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=_positive_int("--jobs"), default=None,
         help="override the spec's execution.n_jobs (results are unchanged)",
     )
-    _add_backend_argument(run)
     run.add_argument(
         "--sample-size", type=_positive_int("--sample-size"), default=None,
         help="override the spec's ganc.sample_size (OSLG sequential sample)",
@@ -818,7 +803,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=_positive_int("--jobs"), default=None,
         help="threads the compile pass fans user blocks out to",
     )
-    _add_backend_argument(compile_cmd)
     compile_cmd.add_argument(
         "--update", action="store_true",
         help="delta-recompile an existing artifact in place: recompute only "
@@ -960,7 +944,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=_positive_int("--jobs"), default=1,
         help="threads shards fan out to (results are byte-identical for any value)",
     )
-    _add_backend_argument(simulate_cmd)
     simulate_cmd.add_argument(
         "--out", type=str, default=None,
         help="write the canonical JSON run report to this file",

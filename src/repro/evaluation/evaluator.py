@@ -8,7 +8,6 @@ tables are produced.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -20,7 +19,7 @@ from repro.data.split import TrainTestSplit
 from repro.evaluation.protocols import AllUnratedItemsProtocol, RankingProtocol
 from repro.exceptions import EvaluationError
 from repro.metrics.report import MetricReport, evaluate_top_n
-from repro.parallel.executor import Executor, resolve_executor
+from repro.parallel.executor import effective_n_jobs
 from repro.recommenders.base import FittedTopN, Recommender
 
 RecommendationsLike = Mapping[int, np.ndarray] | FittedTopN
@@ -56,11 +55,10 @@ class Evaluator:
         uses :data:`repro.utils.topn.DEFAULT_BLOCK_SIZE`); whole-table runs
         therefore go through the batched ``predict_matrix`` path while peak
         memory stays bounded.
-    n_jobs, executor:
-        Worker fan-out of the score blocks when generating top-N sets: an
-        explicit :class:`~repro.parallel.Executor` wins, otherwise
-        ``n_jobs`` threads are used, and ``n_jobs=1`` runs in order in the
-        caller.  Metric outputs are byte-identical for every setting.
+    n_jobs:
+        Threads the score blocks fan out to when generating top-N sets
+        (``n_jobs=1`` runs them in order in the caller).  Metric outputs are
+        byte-identical for every setting.
     """
 
     split: TrainTestSplit
@@ -70,7 +68,6 @@ class Evaluator:
     protocol: RankingProtocol = field(default_factory=AllUnratedItemsProtocol)
     block_size: int | None = None
     n_jobs: int = 1
-    executor: Executor | None = field(default=None, repr=False)
     _popularity: PopularityStats | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -78,10 +75,7 @@ class Evaluator:
             raise EvaluationError(f"n must be >= 1, got {self.n}")
         if self.block_size is not None and self.block_size < 1:
             raise EvaluationError(f"block_size must be >= 1, got {self.block_size}")
-        self._resolve_executor()  # validates n_jobs eagerly
-
-    def _resolve_executor(self) -> Executor:
-        return resolve_executor(self.executor, self.n_jobs)
+        effective_n_jobs(self.n_jobs)  # validates n_jobs eagerly
 
     @property
     def train(self) -> RatingDataset:
@@ -140,7 +134,7 @@ class Evaluator:
             recommender.fit(self.train)
         recs = self.protocol.top_n(
             recommender, self.train, self.test, self.n,
-            block_size=self.block_size, executor=self._resolve_executor(),
+            block_size=self.block_size, n_jobs=self.n_jobs,
         )
         return self.evaluate_recommendations(
             recs,
@@ -158,18 +152,9 @@ class Evaluator:
         """Evaluate any callable that maps (split, n) to recommendations.
 
         Used for re-ranking frameworks (GANC, RBT, 5D, PRA) whose output is a
-        full top-N collection rather than a scoring model.  Builders that
-        accept an ``executor`` keyword receive this evaluator's executor, so
-        framework runs inherit the evaluation fan-out without new plumbing.
+        full top-N collection rather than a scoring model.
         """
-        kwargs = {}
-        try:
-            parameters = inspect.signature(build_recommendations).parameters
-        except (TypeError, ValueError):  # builtins / odd callables
-            parameters = {}
-        if "executor" in parameters:
-            kwargs["executor"] = self._resolve_executor()
-        recs = build_recommendations(self.split, self.n, **kwargs)
+        recs = build_recommendations(self.split, self.n)
         return self.evaluate_recommendations(
             recs, algorithm=algorithm, include_ndcg=include_ndcg
         )

@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.data.dataset import RatingDataset
 from repro.exceptions import ConfigurationError
-from repro.parallel.executor import Executor
 from repro.recommenders.base import Recommender
 from repro.utils.topn import top_n_indices
 
@@ -43,12 +42,12 @@ class RankingProtocol(ABC):
         n: int,
         *,
         block_size: int | None = None,
-        executor: Executor | None = None,
+        n_jobs: int = 1,
     ) -> dict[int, np.ndarray]:
         """Return ``{user: top-N item array}`` under this protocol.
 
         ``block_size`` bounds the number of users scored per matrix block;
-        ``executor`` optionally fans the blocks out to workers.
+        ``n_jobs`` threads the blocks fan out to.
         """
 
 
@@ -65,11 +64,11 @@ class AllUnratedItemsProtocol(RankingProtocol):
         n: int,
         *,
         block_size: int | None = None,
-        executor: Executor | None = None,
+        n_jobs: int = 1,
     ) -> dict[int, np.ndarray]:
         """Delegate to the recommender's own blocked train-excluding top-N."""
         del test  # the candidate pool ignores test information by design
-        result = recommender.recommend_all(n, block_size=block_size, executor=executor)
+        result = recommender.recommend_all(n, block_size=block_size, n_jobs=n_jobs)
         return result.as_dict()
 
 
@@ -86,16 +85,16 @@ class RatedTestItemsProtocol(RankingProtocol):
         n: int,
         *,
         block_size: int | None = None,
-        executor: Executor | None = None,
+        n_jobs: int = 1,
     ) -> dict[int, np.ndarray]:
         """Score each user's test items and keep the best ``n`` of them.
 
         The users with test items are scored in ``block_size`` blocks of
         :meth:`~repro.recommenders.base.Recommender.predict_matrix`, and
-        each user's candidates are gathered from their row.  ``executor`` is
+        each user's candidates are gathered from their row.  ``n_jobs`` is
         accepted for interface symmetry but unused.
         """
-        del train, executor
+        del train, n_jobs
         users = np.arange(test.n_users, dtype=np.int64)
         rows, candidates = test.user_items_batch(users)
         scores = recommender.predict_pairs(rows, candidates, block_size=block_size)

@@ -35,7 +35,7 @@ from repro.ganc.kde import validate_bandwidth
 from repro.ganc.locally_greedy import LocallyGreedyOptimizer
 from repro.ganc.oslg import OSLGOptimizer
 from repro.ganc.value_function import UserValueFunction
-from repro.parallel.executor import Executor, effective_n_jobs
+from repro.parallel.executor import effective_n_jobs
 from repro.preferences.base import PreferenceModel, PreferenceResult
 from repro.recommenders.base import FittedTopN, Recommender
 from repro.utils.rng import SeedLike
@@ -226,7 +226,6 @@ class GANC:
         train = self._train
         accuracy_matrix = partial(self.accuracy.unit_scores_pair, n=n)
         exclusion_pairs = train.user_items_batch
-        executor = Executor(self.config.n_jobs)
 
         if self.coverage.is_dynamic:
             self.coverage.reset()
@@ -244,7 +243,7 @@ class GANC:
                     accuracy_matrix,
                     exclusion_pairs,
                     block_size=self.config.block_size,
-                    executor=executor,
+                    n_jobs=self.config.n_jobs,
                 )
                 self.last_oslg_result_ = result
                 return result.top_n
@@ -268,7 +267,7 @@ class GANC:
             exclusion_pairs,
             n_users=train.n_users,
             block_size=self.config.block_size,
-            executor=executor,
+            n_jobs=self.config.n_jobs,
         )
 
     def recommend(self, user: int, n: int) -> np.ndarray:

@@ -32,7 +32,7 @@ from repro.coverage.base import CoverageRecommender
 from repro.exceptions import ConfigurationError
 from repro.ganc.incremental import SequentialAssigner, supports_incremental
 from repro.ganc.value_function import combined_item_scores
-from repro.parallel.executor import Executor, resolve_executor
+from repro.parallel.executor import Executor
 from repro.parallel.tasks import IndependentAssignTask
 from repro.recommenders.base import FittedTopN
 from repro.utils.topn import iter_user_blocks, top_n_indices
@@ -148,8 +148,7 @@ class LocallyGreedyOptimizer:
         *,
         n_users: int | None = None,
         block_size: int | None = None,
-        executor: Executor | None = None,
-        n_jobs: int | None = None,
+        n_jobs: int = 1,
     ) -> FittedTopN:
         """Blocked 2-D assignment for stateless (non-dynamic) coverage.
 
@@ -173,8 +172,8 @@ class LocallyGreedyOptimizer:
             Callable mapping a block of user indices to flattened
             ``(block_row, item)`` exclusion pairs (see
             :meth:`repro.data.dataset.RatingDataset.user_items_batch`).
-        executor, n_jobs:
-            Optional worker fan-out of the blocks.
+        n_jobs:
+            Threads the blocks fan out to (1 runs them in order).
         """
         if self.coverage.is_dynamic:
             raise ConfigurationError(
@@ -189,8 +188,7 @@ class LocallyGreedyOptimizer:
         task = IndependentAssignTask(
             self.coverage, theta, self.n, accuracy_matrix, exclusion_pairs
         )
-        executor = resolve_executor(executor, n_jobs)
-        for users, (rows, row_scores) in zip(blocks, executor.map_blocks(task, blocks)):
+        for users, (rows, row_scores) in zip(blocks, Executor(n_jobs).map_blocks(task, blocks)):
             out[users] = rows
             scores[users] = row_scores
         return FittedTopN(items=out, scores=scores)

@@ -41,7 +41,7 @@ from repro.exceptions import ConfigurationError
 from repro.ganc.incremental import SequentialAssigner, supports_incremental
 from repro.ganc.kde import GaussianKDE, validate_bandwidth
 from repro.ganc.locally_greedy import BatchAccuracyProvider, BatchExclusionProvider
-from repro.parallel.executor import Executor, resolve_executor
+from repro.parallel.executor import Executor
 from repro.parallel.tasks import SnapshotAssignTask
 from repro.recommenders.base import FittedTopN
 from repro.utils.rng import SeedLike, ensure_rng
@@ -157,8 +157,7 @@ class OSLGOptimizer:
         exclusion_pairs: BatchExclusionProvider,
         *,
         block_size: int | None = None,
-        executor: Executor | None = None,
-        n_jobs: int | None = None,
+        n_jobs: int = 1,
     ) -> OSLGResult:
         """Execute Algorithm 1 and return the assigned collection.
 
@@ -168,9 +167,8 @@ class OSLGOptimizer:
         :meth:`~repro.ganc.locally_greedy.LocallyGreedyOptimizer.run`.  The
         sequential sampled pass runs on the incremental delta-updated engine;
         the snapshot blocks are mutually independent — exactly the
-        parallelism the paper points out — and fan out to
-        ``executor``/``n_jobs`` workers with byte-identical results for any
-        worker count.
+        parallelism the paper points out — and fan out to ``n_jobs``
+        threads with byte-identical results for any worker count.
         """
         theta = np.asarray(theta, dtype=np.float64)
         n_users = theta.size
@@ -213,9 +211,8 @@ class OSLGOptimizer:
                 exclusion_pairs,
             )
             blocks = [remaining[block] for block in iter_user_blocks(remaining.size, block_size)]
-            snapshot_executor = resolve_executor(executor, n_jobs)
             for users, (rows, row_scores) in zip(
-                blocks, snapshot_executor.map_blocks(task, blocks)
+                blocks, Executor(n_jobs).map_blocks(task, blocks)
             ):
                 out[users] = rows
                 scores[users] = row_scores

@@ -34,7 +34,7 @@ before any block runs, so their streams depend only on the root seed and
 the block position — never on thread scheduling.
 """
 
-from repro.parallel.executor import Executor, effective_n_jobs, resolve_executor
+from repro.parallel.executor import Executor, effective_n_jobs
 from repro.parallel.tasks import (
     IndependentAssignTask,
     SnapshotAssignTask,
@@ -43,7 +43,6 @@ from repro.parallel.tasks import (
 
 __all__ = [
     "Executor",
-    "resolve_executor",
     "effective_n_jobs",
     "TopNScoresTask",
     "IndependentAssignTask",

@@ -93,17 +93,3 @@ class Executor:
     def __repr__(self) -> str:
         return f"Executor(n_jobs={self.n_jobs})"
 
-
-def resolve_executor(executor: Executor | None = None, n_jobs: int | None = None) -> Executor:
-    """Normalize the ``(executor, n_jobs)`` option pair.
-
-    An explicit :class:`Executor` instance wins; otherwise ``n_jobs``
-    (``None`` meaning 1) builds one.
-    """
-    if executor is not None:
-        if not isinstance(executor, Executor):
-            raise ConfigurationError(
-                f"executor must be a repro.parallel.Executor, got {type(executor).__name__}"
-            )
-        return executor
-    return Executor(1 if n_jobs is None else n_jobs)

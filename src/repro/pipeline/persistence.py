@@ -13,7 +13,8 @@ top-N lists without refitting any model:
     ``recommender/<attribute>``) plus the fitted preference vector ``theta``.
 ``manifest.json``
     Scalar component state, class names for integrity checks, and the
-    format version.
+    format version (:data:`FORMAT_VERSION`).  It is written last, through
+    :func:`repro.utils.atomic.atomic_write_json`.
 
 Component state is harvested generically: numpy arrays and scipy sparse
 matrices go to the ``.npz``, plain scalars go to the manifest, and anything
@@ -24,9 +25,9 @@ initialization that re-runs at load time.
 
 Both ``.npz`` files are written uncompressed (``np.savez``): a rating-delta
 update saves the pipeline back on every delta, and deflating took nearly all
-of that save's time.  ``np.load`` reads either form, so a directory written
-compressed by an earlier version loads to the same arrays and is rewritten
-uncompressed by its next save.
+of that save's time.  ``np.load`` reads either form, so a directory whose
+``.npz`` files were re-saved compressed loads to the same arrays and is
+rewritten uncompressed by its next save.
 """
 
 from __future__ import annotations
@@ -42,8 +43,11 @@ from repro.data.dataset import RatingDataset
 from repro.data.split import TrainTestSplit
 from repro.exceptions import ConfigurationError, DataFormatError
 
-#: Current on-disk format version.
-FORMAT_VERSION = 1
+#: Current on-disk format version.  Format 2 stopped converting the retired
+#: state of format 1 directories (dense KNN similarity arrays, an
+#: ``execution.backend`` key), so ``Pipeline.load`` refuses those by format,
+#: naming the directory, instead of failing later on state it cannot serve.
+FORMAT_VERSION = 2
 
 #: Attributes never persisted: the train dataset is stored once at the split
 #: level, and fit diagnostics are not needed to serve.
@@ -115,10 +119,6 @@ def restore_component_state(
         if "::" in name:
             continue  # part of a sparse matrix restored above
         setattr(component, name, value)
-    # A component whose state layout changed converts older saves here.
-    upgrade = getattr(component, "_upgrade_restored_state", None)
-    if upgrade is not None:
-        upgrade()
 
 
 # --------------------------------------------------------------------------- #
@@ -211,14 +211,6 @@ def load_split_npz(path: str | Path) -> TrainTestSplit:
 # --------------------------------------------------------------------------- #
 # JSON helpers
 # --------------------------------------------------------------------------- #
-def write_json(payload: Mapping[str, Any], path: str | Path) -> Path:
-    """Write a JSON document with stable key order."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
-
-
 def read_json(path: str | Path) -> dict[str, Any]:
     """Read a JSON document, normalizing failures onto DataFormatError."""
     path = Path(path)

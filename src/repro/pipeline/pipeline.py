@@ -25,7 +25,6 @@ from repro.data.split import TrainTestSplit
 from repro.evaluation.evaluator import EvaluationRun, Evaluator
 from repro.exceptions import ConfigurationError, DataFormatError, NotFittedError
 from repro.ganc.framework import GANC, GANCConfig, PreferenceLike
-from repro.parallel.executor import Executor
 from repro.pipeline.persistence import (
     FORMAT_VERSION,
     component_state,
@@ -33,12 +32,12 @@ from repro.pipeline.persistence import (
     read_json,
     restore_component_state,
     save_split_npz,
-    write_json,
 )
 from repro.pipeline.spec import PipelineSpec
 from repro.preferences.base import PreferenceModel, PreferenceResult
 from repro.recommenders.base import FittedTopN, Recommender
 from repro.registry import create
+from repro.utils.atomic import atomic_write_json
 
 _SPEC_FILE = "spec.json"
 _SPLIT_FILE = "split.npz"
@@ -133,10 +132,6 @@ class Pipeline:
             block_size=section.block_size,
             n_jobs=self.spec.execution.n_jobs,
         )
-
-    def _executor(self) -> Executor:
-        """The executor declared by the spec's ``execution`` section."""
-        return Executor(self.spec.execution.n_jobs)
 
     def set_execution(self, execution: Any) -> "Pipeline":
         """Swap the spec's ``execution`` section (mechanism only, results unchanged).
@@ -273,7 +268,9 @@ class Pipeline:
             finally:
                 self._model.config = original
         block = block_size if block_size is not None else self.spec.evaluation.block_size
-        return self.recommender.recommend_all(n, block_size=block, executor=self._executor())
+        return self.recommender.recommend_all(
+            n, block_size=block, n_jobs=self.spec.execution.n_jobs
+        )
 
     def recommend(self, users: int | np.ndarray, n: int | None = None) -> np.ndarray:
         """Top-``n`` items for one user (1-D) or a block of users (2-D, -1 padded).
@@ -366,20 +363,24 @@ class Pipeline:
             state["theta"] = self._model.theta
             manifest["preference"] = {"name": self._preference_name()}
         np.savez(directory / _STATE_FILE, **state)
-        write_json(manifest, directory / _MANIFEST_FILE)
+        atomic_write_json(directory / _MANIFEST_FILE, manifest)
         return directory
 
     @classmethod
     def load(cls, directory: str | Path) -> "Pipeline":
-        """Rebuild a fitted pipeline saved by :meth:`save` (no model refits)."""
+        """Rebuild a fitted pipeline saved by :meth:`save` (no model refits).
+
+        The manifest's format is checked first, so a directory written in
+        another format is refused naming it before its spec is parsed.
+        """
         directory = Path(directory)
-        spec = PipelineSpec.from_json_file(directory / _SPEC_FILE)
         manifest = read_json(directory / _MANIFEST_FILE)
         if manifest.get("format") != FORMAT_VERSION:
             raise DataFormatError(
                 f"unsupported pipeline format {manifest.get('format')!r} in "
                 f"{directory} (expected {FORMAT_VERSION})"
             )
+        spec = PipelineSpec.from_json_file(directory / _SPEC_FILE)
         split = load_split_npz(directory / _SPLIT_FILE)
 
         with np.load(directory / _STATE_FILE, allow_pickle=False) as payload:

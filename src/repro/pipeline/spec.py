@@ -45,10 +45,6 @@ from repro.parallel.executor import effective_n_jobs
 
 _MISSING = object()
 
-#: Executor backends older specs and scripts name; ``n_jobs`` alone now picks
-#: the in-order loop or the thread pool, so these are accepted and ignored.
-LEGACY_BACKENDS = ("serial", "thread", "process")
-
 
 def _require_mapping(value: Any, section: str) -> dict[str, Any]:
     if not isinstance(value, Mapping):
@@ -269,19 +265,9 @@ class ExecutionSpec:
 
     @classmethod
     def from_config(cls, config: Mapping[str, Any]) -> "ExecutionSpec":
-        """Rebuild from :meth:`to_config` output.
-
-        A ``backend`` key written by older versions is accepted and ignored
-        when it names one of :data:`LEGACY_BACKENDS`.
-        """
+        """Rebuild from :meth:`to_config` output."""
         config = _require_mapping(config, "execution")
-        _check_keys(config, ("backend", "n_jobs"), "execution")
-        backend = config.get("backend", "thread")
-        if backend not in LEGACY_BACKENDS:
-            raise ConfigurationError(
-                f"execution backend must be one of {list(LEGACY_BACKENDS)} "
-                f"(accepted and ignored), got {backend!r}"
-            )
+        _check_keys(config, ("n_jobs",), "execution")
         n_jobs = config.get("n_jobs", 1)
         if not isinstance(n_jobs, int) or isinstance(n_jobs, bool):
             raise ConfigurationError(
@@ -390,13 +376,19 @@ class PipelineSpec:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "PipelineSpec":
-        """Load a spec previously written by :meth:`to_json_file`."""
+        """Load a spec previously written by :meth:`to_json_file`.
+
+        Every :class:`~repro.exceptions.ConfigurationError` names the file.
+        """
         path = Path(path)
         try:
             document = path.read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigurationError(f"cannot read pipeline spec {path}: {exc}") from exc
-        return cls.from_json(document)
+        try:
+            return cls.from_json(document)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{path}: {exc}") from exc
 
 
 def ganc_spec(

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.data.dataset import RatingDataset
 from repro.exceptions import ConfigurationError, NotFittedError
-from repro.parallel.executor import Executor, resolve_executor
+from repro.parallel.executor import Executor
 from repro.parallel.tasks import TopNScoresTask
 from repro.registry import ParamsMixin
 from repro.utils.normalization import normalize_rows
@@ -326,8 +326,7 @@ class Recommender(ParamsMixin, ABC):
         n: int,
         *,
         block_size: int | None = None,
-        executor: Executor | None = None,
-        n_jobs: int | None = None,
+        n_jobs: int = 1,
     ) -> FittedTopN:
         """Top-``n`` sets for every user (train items excluded).
 
@@ -335,8 +334,8 @@ class Recommender(ParamsMixin, ABC):
         :data:`repro.utils.topn.DEFAULT_BLOCK_SIZE`) so peak memory stays
         ``O(block_size × n_items)`` while the scoring itself runs as 2-D
         array operations.  The blocks are independent, so they can fan out
-        to an :class:`~repro.parallel.Executor` (or ``n_jobs`` threads);
-        every worker count produces the same bytes as the in-order loop.
+        to ``n_jobs`` threads (:class:`~repro.parallel.Executor`); every
+        worker count produces the same bytes as the in-order loop.
         The raw scores of the chosen items come from the same blocks.
         """
         self._check_fitted()
@@ -347,8 +346,7 @@ class Recommender(ParamsMixin, ABC):
         task = TopNScoresTask(self, n)
         out = np.empty((n_users, n), dtype=np.int64)
         scores = np.empty((n_users, n), dtype=np.float64)
-        executor = resolve_executor(executor, n_jobs)
-        for users, (rows, row_scores) in zip(blocks, executor.map_blocks(task, blocks)):
+        for users, (rows, row_scores) in zip(blocks, Executor(n_jobs).map_blocks(task, blocks)):
             out[users] = rows
             scores[users] = row_scores
         return FittedTopN(items=out, scores=scores)

@@ -36,11 +36,6 @@ _SCORE_DTYPES = {"float32": np.float32, "float64": np.float64}
 # ``block × n_items`` entries.
 _SCAN_BLOCK = 512
 
-# State written by the dense-gram implementation this scan replaced: the raw
-# gram, the options of the removed sketch search, and a per-instance
-# delta-refit flag.
-_LEGACY_ATTRIBUTES = ("_gram", "n_projections", "n_candidates", "seed", "supports_delta_refit")
-
 
 class ItemKNN(Recommender):
     """Item-item cosine KNN over the train rating matrix.
@@ -52,9 +47,6 @@ class ItemKNN(Recommender):
     shrinkage:
         Additive shrinkage on the similarity denominator; damps similarities
         supported by few co-ratings.
-    exact:
-        Accepted so specs written while a dense-gram mode existed still
-        build (and keep their ``spec_sha256``); it has no effect.
     dtype:
         Scoring precision, ``"float64"`` (default, golden-pinned) or
         ``"float32"``.
@@ -67,7 +59,6 @@ class ItemKNN(Recommender):
         k: int = 50,
         *,
         shrinkage: float = 10.0,
-        exact: bool = True,
         dtype: str = "float64",
     ) -> None:
         super().__init__()
@@ -81,7 +72,6 @@ class ItemKNN(Recommender):
             )
         self.k = int(k)
         self.shrinkage = float(shrinkage)
-        self.exact = bool(exact)
         self.dtype = str(dtype)
         self.similarity_: sparse.csr_matrix | None = None
         self._abs_similarity: sparse.csr_matrix | None = None
@@ -164,19 +154,6 @@ class ItemKNN(Recommender):
             return self.fit(train)
         self._mark_fitted(train)
         return self
-
-    def _upgrade_restored_state(self) -> None:
-        """Bring state saved by the dense-gram implementation to the CSR layout.
-
-        Those pipelines stored ``similarity_`` and ``_abs_similarity`` as
-        dense ``|I| × |I|`` arrays holding exactly the scan's kept values, so
-        converting them serves the same bytes.
-        """
-        for name in _LEGACY_ATTRIBUTES:
-            vars(self).pop(name, None)
-        if isinstance(self.similarity_, np.ndarray):
-            self.similarity_ = sparse.csr_matrix(self.similarity_)
-            self._abs_similarity = abs(self.similarity_)
 
     def predict_matrix(self, users: np.ndarray | None = None) -> np.ndarray:
         """Neighbour-weighted score rows via two sparse products.

@@ -31,10 +31,6 @@ from repro.recommenders.base import Recommender
 # ``block × n_users`` floats (×2 for the co-rating overlap counts).
 _FIT_BLOCK = 1024
 
-# Option of the removed dense similarity container, persisted by pipelines
-# saved while it existed.
-_LEGACY_ATTRIBUTES = ("dense_similarity_limit",)
-
 
 class UserKNN(Recommender):
     """User-user cosine KNN on mean-centered ratings.
@@ -150,18 +146,6 @@ class UserKNN(Recommender):
         self._indicator = binary
         self._mark_fitted(train)
         return self
-
-    def _upgrade_restored_state(self) -> None:
-        """Bring state saved with the dense similarity container to CSR.
-
-        Those pipelines stored ``similarity_`` as a dense ``|U| × |U|`` array
-        holding exactly the values the CSR graph holds, so converting it
-        serves the same bytes.
-        """
-        for name in _LEGACY_ATTRIBUTES:
-            vars(self).pop(name, None)
-        if isinstance(self.similarity_, np.ndarray):
-            self.similarity_ = sparse.csr_matrix(self.similarity_)
 
     def predict_matrix(self, users: np.ndarray | None = None) -> np.ndarray:
         """Neighbour predictions for a block of users via sparse products.

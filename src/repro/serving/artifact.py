@@ -46,13 +46,13 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError, DataFormatError
-from repro.parallel.executor import Executor, resolve_executor
 from repro.pipeline.persistence import read_json
 from repro.pipeline.pipeline import Pipeline
 from repro.pipeline.spec import ExecutionSpec
@@ -151,6 +151,25 @@ def _previous_revision(output_dir: Path) -> int:
     return int(revision) if isinstance(revision, (int, float)) else 0
 
 
+@contextmanager
+def _jobs_override(pipeline: Pipeline, n_jobs: int | None) -> Iterator[None]:
+    """Run the enclosed compile pass on ``n_jobs`` threads (``None``: the spec's).
+
+    The override applies for the duration of the pass only; a caller-owned
+    pipeline must not come back with its execution spec (or a fitted GANC
+    model's config) silently rewritten.
+    """
+    if n_jobs is None:
+        yield
+        return
+    original = pipeline.spec.execution
+    pipeline.set_execution(ExecutionSpec(n_jobs=n_jobs))
+    try:
+        yield
+    finally:
+        pipeline.set_execution(original)
+
+
 def _compute_rows(
     pipeline: Pipeline, n: int, coverage: int, *, block_size: int | None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -175,7 +194,6 @@ def compile_artifact(
     shard_size: int | None = None,
     max_users: int | None = None,
     block_size: int | None = None,
-    executor: Executor | None = None,
     n_jobs: int | None = None,
 ) -> Path:
     """Precompute top-``n`` for all users and write a serveable artifact.
@@ -198,11 +216,10 @@ def compile_artifact(
         users are served by the store's live fallback.
     block_size:
         Scoring block size override, as in :meth:`Pipeline.recommend_all`.
-    executor, n_jobs:
-        Fan-out of the compile pass, resolved exactly like every other
-        batched path (:func:`repro.parallel.resolve_executor`).  When either
-        is given it overrides the pipeline spec's ``execution`` section for
-        the duration of the compile.
+    n_jobs:
+        Threads the compile pass fans user blocks out to.  When given it
+        overrides the pipeline spec's ``execution`` section for the duration
+        of the compile.
 
     Returns
     -------
@@ -221,25 +238,13 @@ def compile_artifact(
     if n < 1:
         raise ConfigurationError(f"n must be >= 1, got {n}")
 
-    original_execution = None
-    if executor is not None or n_jobs is not None:
-        chosen = resolve_executor(executor, n_jobs)
-        original_execution = pipeline.spec.execution
-        pipeline.set_execution(ExecutionSpec(n_jobs=chosen.n_jobs))
-
     n_users_total = pipeline.split.train.n_users
     coverage = n_users_total if max_users is None else min(int(max_users), n_users_total)
     if coverage < 1:
         raise ConfigurationError(f"max_users must be >= 1, got {max_users}")
 
-    try:
+    with _jobs_override(pipeline, n_jobs):
         items, scores = _compute_rows(pipeline, n, coverage, block_size=block_size)
-    finally:
-        # The override applies for the duration of the compile only; a
-        # caller-owned pipeline must not come back with its execution spec
-        # (or a fitted GANC model's config) silently rewritten.
-        if original_execution is not None:
-            pipeline.set_execution(original_execution)
 
     output_dir = Path(output_dir)
     (output_dir / _SHARD_DIR).mkdir(parents=True, exist_ok=True)

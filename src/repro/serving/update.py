@@ -57,14 +57,14 @@ import numpy as np
 from repro.data.incremental import extend_split_interactions, read_delta_csv
 from repro.data.split import TrainTestSplit
 from repro.exceptions import ConfigurationError
-from repro.parallel.executor import Executor, resolve_executor
+from repro.parallel.executor import Executor
 from repro.parallel.tasks import TopNScoresTask
 from repro.pipeline.pipeline import Pipeline
-from repro.pipeline.spec import ExecutionSpec
 from repro.serving.artifact import (
     ARTIFACT_FORMAT_VERSION,
     MANIFEST_FILE,
     _compute_rows,
+    _jobs_override,
     _resolve_pipeline,
     _shard_name,
     _sweep_stale,
@@ -161,7 +161,6 @@ def _narrowed_rows(
     changed_users: np.ndarray,
     *,
     block_size: int | None,
-    executor: Executor | None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Carry over live rows, recompute only changed + newly-arrived users."""
     old_coverage = int(manifest["n_users"])
@@ -177,7 +176,7 @@ def _narrowed_rows(
     todo = np.union1d(changed, arrived)
     todo = todo[(todo >= 0) & (todo < coverage)]
     if todo.size:
-        fan_out = pipeline._executor() if executor is None else executor
+        fan_out = Executor(pipeline.spec.execution.n_jobs)
         blocks = [todo[block] for block in iter_user_blocks(todo.size, block_size)]
         task = TopNScoresTask(pipeline.recommender, n)
         for block, (rows, row_scores) in zip(blocks, fan_out.map_blocks(task, blocks)):
@@ -193,7 +192,6 @@ def compile_artifact_update(
     changed_users: np.ndarray | None = None,
     state_changed: bool = True,
     block_size: int | None = None,
-    executor: Executor | None = None,
     n_jobs: int | None = None,
 ) -> UpdateReport:
     """Bring a live artifact up to date with a refitted pipeline, delta-only.
@@ -220,7 +218,7 @@ def compile_artifact_update(
         (:attr:`RefitReport.state_changed`).  Only ``False`` — together with
         ``changed_users`` and a bare-recommender pipeline — enables the
         narrowed recompute; the default assumes the worst.
-    block_size, executor, n_jobs:
+    block_size, n_jobs:
         Fan-out of the recompute pass, exactly as in
         :func:`~repro.serving.artifact.compile_artifact`.
     """
@@ -255,18 +253,12 @@ def compile_artifact_update(
         )
     coverage = old_coverage if old_coverage < old_total else new_total
 
-    original_execution = None
-    if executor is not None or n_jobs is not None:
-        chosen = resolve_executor(executor, n_jobs)
-        original_execution = pipeline.spec.execution
-        pipeline.set_execution(ExecutionSpec(n_jobs=chosen.n_jobs))
-
     narrowed = (
         changed_users is not None
         and not state_changed
         and pipeline.model is None
     )
-    try:
+    with _jobs_override(pipeline, n_jobs):
         if narrowed:
             items, scores, users_recomputed = _narrowed_rows(
                 pipeline,
@@ -276,14 +268,10 @@ def compile_artifact_update(
                 coverage,
                 changed_users,
                 block_size=block_size,
-                executor=executor,
             )
         else:
             items, scores = _compute_rows(pipeline, n, coverage, block_size=block_size)
             users_recomputed = coverage
-    finally:
-        if original_execution is not None:
-            pipeline.set_execution(original_execution)
 
     old_shards = manifest["shards"]
     shards: list[dict[str, Any]] = []
@@ -365,7 +353,6 @@ def ingest_and_update(
     delta: str | Path,
     *,
     block_size: int | None = None,
-    executor: Executor | None = None,
     n_jobs: int | None = None,
 ) -> tuple[Pipeline, RefitReport, UpdateReport]:
     """The full ``repro compile --update --delta FILE`` round trip.
@@ -387,7 +374,6 @@ def ingest_and_update(
         changed_users=extension.changed_users,
         state_changed=refit_report.state_changed,
         block_size=block_size,
-        executor=executor,
         n_jobs=n_jobs,
     )
     return refitted, refit_report, update_report

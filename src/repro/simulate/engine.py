@@ -173,13 +173,13 @@ def _replay_sharded(
     source: RecommendationSource,
     trace: Trace,
     config: SimulationConfig,
-    executor: Executor,
+    n_jobs: int,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     blocks = trace.shard(config.shards)
     task = ShardReplayTask(
         source, trace.users, config.n, config.feedback, config.feedback_params
     )
-    results = executor.map_blocks(task, blocks, seed=_feedback_seed(config.seed))
+    results = Executor(n_jobs).map_blocks(task, blocks, seed=_feedback_seed(config.seed))
     items_all = np.full((trace.n_events, config.n), -1, dtype=np.int64)
     consumed_all: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * trace.n_events
     for block, (items_block, consumed) in zip(blocks, results):
@@ -241,7 +241,7 @@ def run_simulation(
     config: SimulationConfig,
     *,
     split: TrainTestSplit | None = None,
-    executor: Executor | None = None,
+    n_jobs: int = 1,
     trace: Trace | None = None,
 ) -> SimulationResult:
     """Replay (or generate and replay) a trace and report windowed drift.
@@ -249,8 +249,8 @@ def run_simulation(
     ``split`` supplies held-out futures for the accuracy proxies and train
     popularity for novelty; it defaults to the pipeline's own split when the
     source is a :class:`PipelineSource` and is required by the ``replay``
-    scenario.  ``executor`` is pure mechanism — any worker count yields
-    byte-identical traces and reports.
+    scenario.  ``n_jobs`` (threads the replay shards fan out to) is pure
+    mechanism — any worker count yields byte-identical traces and reports.
     """
     if split is None and isinstance(source, PipelineSource):
         split = source.split
@@ -263,7 +263,6 @@ def run_simulation(
             seed=config.seed,
             split=split,
         )
-    executor = executor if executor is not None else Executor()
 
     # ------------------------------------------------------------------ #
     # Phase 1: replay
@@ -274,7 +273,7 @@ def run_simulation(
     if source.online or not source.parallel_safe:
         items_all, consumed_all = _replay_online(source, trace, config)
     else:
-        items_all, consumed_all = _replay_sharded(source, trace, config, executor)
+        items_all, consumed_all = _replay_sharded(source, trace, config, n_jobs)
 
     # ------------------------------------------------------------------ #
     # Phase 2: windowed drift metrics

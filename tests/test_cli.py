@@ -222,7 +222,7 @@ def test_cli_recommend_honors_output_file(tmp_path, capsys):
 
 
 # --------------------------------------------------------------------------- #
-# --jobs / --backend: validation and output equivalence
+# --jobs: validation and output equivalence
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("option,value", [
     ("--jobs", "0"),
@@ -259,8 +259,8 @@ def test_cli_compile_rejects_bad_arguments(option, value):
         main(["compile", "--pipeline", "p", "--artifact", "a", option, value])
 
 
-def test_cli_jobs_and_backend_preserve_recommend_output(tmp_path, capsys):
-    """--jobs changes nothing but speed; --backend is accepted with no effect."""
+def test_cli_jobs_preserve_recommend_output(tmp_path, capsys):
+    """--jobs changes nothing but speed."""
     serial_csv = tmp_path / "serial.csv"
     parallel_csv = tmp_path / "parallel.csv"
     base = [
@@ -271,7 +271,7 @@ def test_cli_jobs_and_backend_preserve_recommend_output(tmp_path, capsys):
     assert main(base + ["--save-recommendations", str(serial_csv)]) == 0
     assert main(
         base + [
-            "--jobs", "2", "--backend", "process", "--block-size", "9",
+            "--jobs", "2", "--block-size", "9",
             "--save-recommendations", str(parallel_csv),
         ]
     ) == 0
@@ -293,33 +293,44 @@ def test_cli_run_jobs_override_preserves_spec_output(tmp_path, capsys):
     assert main(
         [
             "run", "--config", str(spec_path), "--jobs", "2",
-            "--backend", "thread", "--save-recommendations", str(parallel_csv),
+            "--save-recommendations", str(parallel_csv),
         ]
     ) == 0
     assert serial_csv.read_bytes() == parallel_csv.read_bytes()
 
 
-def test_cli_run_accepts_a_spec_naming_an_executor_backend(tmp_path, capsys):
-    """Older specs carry execution.backend; it loads and is ignored."""
+def test_cli_run_rejects_a_spec_naming_an_executor_backend(tmp_path, capsys):
+    """The retired execution.backend key fails naming the key and the file."""
     spec_path = tmp_path / "spec.json"
-    serial_csv = tmp_path / "serial.csv"
-    parallel_csv = tmp_path / "parallel.csv"
     assert main(
         [
             "recommend", "--dataset", "ml100k", "--scale", "0.15",
-            "--arec", "psvd10", "--theta", "thetaG", "--coverage", "dyn",
+            "--arec", "pop", "--theta", "thetaG", "--coverage", "dyn",
             "--sample-size", "25", "--dump-spec", str(spec_path),
-            "--save-recommendations", str(serial_csv),
         ]
     ) == 0
     config = json.loads(spec_path.read_text())
     assert config["execution"] == {"n_jobs": 1}
     config["execution"] = {"backend": "process", "n_jobs": 2}
     spec_path.write_text(json.dumps(config))
-    assert main(
-        ["run", "--config", str(spec_path), "--save-recommendations", str(parallel_csv)]
-    ) == 0
-    assert serial_csv.read_bytes() == parallel_csv.read_bytes()
+    with pytest.raises(ConfigurationError) as excinfo:
+        main(["run", "--config", str(spec_path)])
+    assert "'backend'" in str(excinfo.value)
+    assert str(spec_path) in str(excinfo.value)
+
+
+@pytest.mark.parametrize("command", [
+    ["recommend", "--dataset", "ml100k"],
+    ["run", "--config", "spec.json"],
+    ["compile", "--pipeline", "p", "--artifact", "a"],
+    ["simulate"],
+    ["table2"],
+])
+def test_cli_rejects_the_retired_backend_flag(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([*command, "--backend", "thread"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --backend thread" in capsys.readouterr().err
 
 
 def test_cli_load_pipeline_jobs_override_serves_identically(tmp_path, capsys):
@@ -337,7 +348,7 @@ def test_cli_load_pipeline_jobs_override_serves_identically(tmp_path, capsys):
     assert main(
         [
             "run", "--load-pipeline", str(artifact), "--jobs", "2",
-            "--backend", "process", "--save-recommendations", str(parallel_csv),
+            "--save-recommendations", str(parallel_csv),
         ]
     ) == 0
     assert serial_csv.read_bytes() == parallel_csv.read_bytes()

@@ -17,7 +17,7 @@ from repro.evaluation.evaluator import Evaluator
 from repro.exceptions import ConfigurationError
 from repro.ganc.framework import GANC, GANCConfig
 from repro.ganc.locally_greedy import LocallyGreedyOptimizer
-from repro.parallel import Executor, effective_n_jobs, resolve_executor
+from repro.parallel import Executor, effective_n_jobs
 from repro.pipeline import (
     ComponentSpec,
     DatasetSpec,
@@ -85,22 +85,6 @@ def test_effective_n_jobs_rejects_non_positive_and_non_int(bad):
         effective_n_jobs(bad)
 
 
-def test_resolve_executor_explicit_instance_wins():
-    executor = Executor(2)
-    assert resolve_executor(executor, 8) is executor
-
-
-def test_resolve_executor_defaults_to_serial():
-    assert resolve_executor(None, None).n_jobs == 1
-    assert resolve_executor(None, 1).n_jobs == 1
-    assert resolve_executor(None, 3).n_jobs == 3
-
-
-def test_resolve_executor_rejects_non_executor():
-    with pytest.raises(ConfigurationError):
-        resolve_executor(object())
-
-
 @pytest.mark.parametrize("n_jobs", EXECUTOR_PATHS)
 def test_map_blocks_preserves_block_order(n_jobs):
     blocks = [np.arange(start, start + 3) for start in range(0, 30, 3)]
@@ -153,7 +137,7 @@ def test_recommend_all_parallel_backends_match_serial(name, small_split):
     model = make_recommender(name, seed=0).fit(small_split.train)
     serial = model.recommend_all(N, block_size=7).items
     for n_jobs in PARALLEL_JOBS:
-        parallel = model.recommend_all(N, block_size=7, executor=Executor(n_jobs)).items
+        parallel = model.recommend_all(N, block_size=7, n_jobs=n_jobs).items
         np.testing.assert_array_equal(parallel, serial, err_msg=f"{name} n_jobs={n_jobs}")
 
 
@@ -168,9 +152,7 @@ def test_recommend_all_results_invariant_to_block_size(small_split):
     reference = model.recommend_all(N).items
     for block_size in (1, 3, 16, 1000):
         for n_jobs in PARALLEL_JOBS:
-            got = model.recommend_all(
-                N, block_size=block_size, executor=Executor(n_jobs)
-            ).items
+            got = model.recommend_all(N, block_size=block_size, n_jobs=n_jobs).items
             np.testing.assert_array_equal(got, reference)
 
 
@@ -222,7 +204,7 @@ def test_run_independent_executor_matches_sequential_run(small_split):
             accuracy,
             exclusions,
             block_size=9,
-            executor=Executor(n_jobs),
+            n_jobs=n_jobs,
         ).items
         np.testing.assert_array_equal(parallel, sequential)
 
@@ -250,27 +232,6 @@ def test_evaluator_validates_n_jobs_and_backend(small_split):
         Evaluator(small_split, n_jobs=-2)
 
 
-def test_evaluate_pipeline_hands_executor_to_accepting_builders(small_split):
-    captured = {}
-
-    def builder(split, n, executor=None):
-        captured["executor"] = executor
-        model = make_recommender("pop").fit(split.train)
-        return model.recommend_all(n, executor=executor)
-
-    evaluator = Evaluator(small_split, n=N, n_jobs=2)
-    run = evaluator.evaluate_pipeline(builder, algorithm="pop-parallel")
-    assert isinstance(captured["executor"], Executor)
-    assert captured["executor"].n_jobs == 2
-
-    def plain_builder(split, n):
-        model = make_recommender("pop").fit(split.train)
-        return model.recommend_all(n)
-
-    plain = Evaluator(small_split, n=N).evaluate_pipeline(plain_builder, algorithm="pop")
-    assert run.report.as_dict() == plain.report.as_dict()
-
-
 # --------------------------------------------------------------------------- #
 # Pipeline: execution section, persistence under non-default settings
 # --------------------------------------------------------------------------- #
@@ -278,13 +239,9 @@ def test_execution_spec_round_trips_and_validates():
     spec = ExecutionSpec(n_jobs=4)
     assert ExecutionSpec.from_config(spec.to_config()) == spec
     assert ExecutionSpec.from_config({}) == ExecutionSpec()
-    # Older specs name an executor backend: accepted, ignored, not written back.
-    legacy = ExecutionSpec.from_config({"backend": "process", "n_jobs": 2})
-    assert legacy == ExecutionSpec(n_jobs=2)
-    assert legacy.to_config() == {"n_jobs": 2}
-    assert ExecutionSpec.from_config(legacy.to_config()) == legacy
-    with pytest.raises(ConfigurationError, match="execution"):
-        ExecutionSpec.from_config({"backend": "gpu"})
+    # n_jobs is the one key: the retired executor backend is an unknown key.
+    with pytest.raises(ConfigurationError, match=r"unknown key\(s\) \['backend'\].*'execution'"):
+        ExecutionSpec.from_config({"backend": "thread", "n_jobs": 2})
     with pytest.raises(ConfigurationError):
         ExecutionSpec(n_jobs=0)
     with pytest.raises(ConfigurationError, match="^execution n_jobs must be"):
@@ -343,7 +300,7 @@ def test_pipeline_save_load_under_non_default_block_size_and_n_jobs(tmp_path):
     assert loaded.spec.ganc.block_size == 7
     np.testing.assert_array_equal(loaded.recommend_all().items, reference)
     np.testing.assert_array_equal(
-        loaded.recommender.recommend_all(N, block_size=7, executor=Executor(2)).items,
+        loaded.recommender.recommend_all(N, block_size=7, n_jobs=2).items,
         loaded.recommender.recommend_all(N, block_size=7).items,
     )
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,16 @@ def test_bare_pipeline_save_load(tmp_path, small_split):
     pipeline.save(tmp_path / "bare")
     reloaded = Pipeline.load(tmp_path / "bare")
     assert np.array_equal(reloaded.recommend_all().items, expected.items)
+
+    # The manifest is replaced in one step, in the sorted two-space layout,
+    # and a save over the same directory writes the same bytes.
+    manifest_path = tmp_path / "bare" / "manifest.json"
+    first = manifest_path.read_text(encoding="utf-8")
+    assert json.loads(first)["format"] == 2
+    assert first == json.dumps(json.loads(first), indent=2, sort_keys=True) + "\n"
+    reloaded.save(tmp_path / "bare")
+    assert manifest_path.read_text(encoding="utf-8") == first
+    assert not list((tmp_path / "bare").glob("*.tmp"))
 
 
 def test_split_round_trips_mixed_int_and_str_ids(tmp_path, small_split):

@@ -129,6 +129,19 @@ def test_invalid_json_rejected():
         PipelineSpec.from_json("{not json")
 
 
+@pytest.mark.parametrize("document,reason", [
+    ("{not json", "not valid JSON"),
+    ('{"recommender": "pop", "execution": {"backend": "thread"}}', "['backend']"),
+])
+def test_rejected_spec_file_names_its_path(tmp_path, document, reason):
+    path = tmp_path / "spec.json"
+    path.write_text(document, encoding="utf-8")
+    with pytest.raises(ConfigurationError) as excinfo:
+        PipelineSpec.from_json_file(path)
+    assert str(path) in str(excinfo.value)
+    assert reason in str(excinfo.value)
+
+
 def test_section_seeds_inherit_spec_seed():
     spec = _full_spec()
     assert spec.resolved_seed(spec.ganc.seed) == 0

@@ -220,9 +220,7 @@ def test_recommender_batch_serial_parallel_equivalence(data, n, block_size, n_jo
 
     batched = model.recommend_all(n, block_size=block_size).items
     np.testing.assert_array_equal(batched, loop)
-    parallel = model.recommend_all(
-        n, block_size=block_size, executor=Executor(n_jobs)
-    ).items
+    parallel = model.recommend_all(n, block_size=block_size, n_jobs=n_jobs).items
     np.testing.assert_array_equal(parallel, loop)
 
 

@@ -1,4 +1,4 @@
-"""Contracts of the public API surface (top-level and repro.core facade)."""
+"""Contracts of the public API surface (the top-level lazy name tables)."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import inspect
 import pytest
 
 import repro
-import repro.core as core
 import repro.serving
 import repro.simulate
 
@@ -36,26 +35,12 @@ def test_all_names_resolve():
                 assert getattr(source, name) is value
 
 
-def test_core_facade_names_resolve():
-    for name in core.__all__:
-        assert hasattr(core, name), f"repro.core.__all__ lists {name} but it is missing"
-
-
-def test_core_facade_reexports_the_same_objects():
-    assert core.GANC is repro.GANC
-    assert core.GANCConfig is repro.GANCConfig
-    assert core.GeneralizedPreference is repro.GeneralizedPreference
-    assert core.DynamicCoverage is repro.DynamicCoverage
-
-
 @pytest.mark.parametrize(
     "module_name",
     [
         "repro.data",
         "repro.data.io",
-        "repro.data.stats",
         "repro.preferences",
-        "repro.preferences.analysis",
         "repro.recommenders",
         "repro.coverage",
         "repro.ganc",

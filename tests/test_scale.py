@@ -9,14 +9,12 @@ This file is that pin:
   — id maps, interaction order, split membership, batch gathers — at every
   shard size, including the ``append`` path vs a single ingest,
 * the blocked gram scan of :class:`ItemKNN` must store the same similarity
-  values as a dense-gram reference and score identically, and pipelines
-  saved with a dense similarity array (either KNN) must load as CSR,
+  values as a dense-gram reference and score identically,
 * float32 scoring is gated on a documented tolerance (``FLOAT32_ATOL``) and
   on rank stability: any item that enters/leaves a top-N list under float32
   must be a float64 near-tie within that tolerance,
 * ``dtype="float64"`` stays the default everywhere a spec can express it,
-  and specs naming the former ``exact`` mode still build under their
-  historical ``spec_sha256``.
+  and the retired ``exact`` and sketch options fail naming themselves.
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ from repro.pipeline import (
     PipelineSpec,
 )
 from repro.recommenders.knn import ItemKNN
-from repro.recommenders.user_knn import UserKNN
 from repro.registry import create
 
 #: Documented float32-vs-float64 scoring tolerance (see ``docs/scale.md``).
@@ -396,43 +393,9 @@ def test_one_item_dataset_scores_zero():
     ]
 
 
-def test_user_knn_dense_state_restores_as_csr(tmp_path):
-    """A pipeline saved with the dense ``|U| x |U|`` similarity array (and the
-    ``dense_similarity_limit`` option that selected it) loads as CSR and
-    serves the rows of a fresh fit."""
-    spec = PipelineSpec(
-        recommender=ComponentSpec("userknn", params={"k": 10}),
-        dataset=DatasetSpec(key="ml100k", scale=0.1),
-        evaluation=EvaluationSpec(n=5),
-        seed=0,
-    )
-    fitted = Pipeline(spec).fit()
-    fitted.save(tmp_path)
-    graph = fitted.recommender.similarity_
-
-    state = dict(np.load(tmp_path / "state.npz"))
-    for part in ("data", "indices", "indptr"):
-        del state[f"recommender.similarity_::{part}"]
-    state["recommender.similarity_"] = graph.toarray()
-    np.savez_compressed(tmp_path / "state.npz", **state)
-    manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
-    meta = manifest["recommender"]["meta"]
-    del meta["similarity_"]
-    meta["dense_similarity_limit"] = 20_000
-    (tmp_path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
-
-    restored = Pipeline.load(tmp_path).recommender
-    assert "dense_similarity_limit" not in vars(restored)
-    assert sparse.isspmatrix_csr(restored.similarity_)
-    for part in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(restored.similarity_, part), getattr(graph, part))
-    assert np.array_equal(restored.predict_matrix(), fitted.recommender.predict_matrix())
-    assert restored.get_params() == fitted.recommender.get_params()
-
-
 def test_sketch_parameter_validation():
-    """The removed sketch options fail naming themselves; dtype is checked."""
-    for name, value in (("n_projections", 16), ("n_candidates", 60)):
+    """The removed sketch and dense-gram options fail naming themselves; dtype is checked."""
+    for name, value in (("n_projections", 16), ("n_candidates", 60), ("exact", False)):
         with pytest.raises(ConfigurationError, match=name):
             create("recommender", "itemknn", **{name: value})
         spec = PipelineSpec(
@@ -450,7 +413,7 @@ def test_sketch_parameter_validation():
 def test_every_itemknn_supports_delta_refit(clustered):
     base = RatioSplitter(0.8, seed=0).split(clustered).train
     grown = base.extend([0, 5, 7], [3, 3, 40], [1.0, 2.0, 5.0])
-    for params in ({}, {"exact": False}, {"dtype": "float32"}):
+    for params in ({}, {"dtype": "float32"}):
         model = ItemKNN(5, **params)
         assert model.supports_delta_refit
         model.fit(base).delta_refit(grown)
@@ -467,17 +430,16 @@ def test_every_itemknn_supports_delta_refit(clustered):
 # --------------------------------------------------------------------------- #
 def test_float32_scores_within_documented_tolerance(clustered):
     reference = ItemKNN(10).fit(clustered).predict_matrix()
-    for model in (ItemKNN(10, dtype="float32"), ItemKNN(10, exact=False, dtype="float32")):
-        scores = model.fit(clustered).predict_matrix()
-        drift = np.max(np.abs(scores - reference))
-        assert drift < FLOAT32_ATOL, f"float32 drift {drift:.2e} exceeds {FLOAT32_ATOL}"
+    scores = ItemKNN(10, dtype="float32").fit(clustered).predict_matrix()
+    drift = np.max(np.abs(scores - reference))
+    assert drift < FLOAT32_ATOL, f"float32 drift {drift:.2e} exceeds {FLOAT32_ATOL}"
 
 
 def test_float32_top_n_is_rank_stable_under_tolerance(clustered):
     """Items swapped in/out of a float32 top-N must be float64 near-ties.
 
-    Byte-identical rankings are not promised (that is what ``exact=True``
-    ``float64`` is for); the float32 contract is that any disagreement is
+    Byte-identical rankings are not promised (that is what ``float64`` is
+    for); the float32 contract is that any disagreement is
     confined to items whose float64 scores sit within ``FLOAT32_ATOL`` of the
     top-N boundary score.
     """
@@ -505,44 +467,12 @@ def test_float32_top_n_is_rank_stable_under_tolerance(clustered):
 
 
 # --------------------------------------------------------------------------- #
-# Defaults, and specs written while ``exact`` selected a dense-gram mode
+# Defaults
 # --------------------------------------------------------------------------- #
-#: ``spec_sha256`` of ``_exact_spec(True)`` / ``_exact_spec(False)``, as
-#: computed when ``exact`` still switched between two neighbour searches.
-EXACT_SPEC_SHA256 = {
-    True: "433d6b32726f1f94a6977433003c79bb1f3c5b6f5695528965c469206ecc01d6",
-    False: "f4b4bc133863bdf001bd9baa06676d3171adafe211948dee2a3587ec6bdf28b6",
-}
-
-
-def _exact_spec(exact: bool) -> PipelineSpec:
-    return PipelineSpec(
-        recommender=ComponentSpec("itemknn", params={"k": 20, "exact": exact}),
-        evaluation=EvaluationSpec(n=5),
-        seed=0,
-    )
-
-
 def test_exact_default_everywhere():
     model = ItemKNN()
-    assert model.get_params() == {
-        "dtype": "float64", "exact": True, "k": 50, "shrinkage": 10.0
-    }
+    assert model.get_params() == {"dtype": "float64", "k": 50, "shrinkage": 10.0}
     assert create("recommender", "itemknn").get_params() == model.get_params()
-
-
-@pytest.mark.parametrize("exact", [True, False])
-def test_specs_naming_exact_build_under_their_historical_hash(exact, clustered):
-    from repro.serving.artifact import spec_hash
-
-    spec = PipelineSpec.from_json(_exact_spec(exact).to_json())
-    pipeline = Pipeline(spec)
-    assert spec_hash(pipeline) == EXACT_SPEC_SHA256[exact]
-    split = RatioSplitter(0.8, seed=0).split(clustered)
-    fitted = pipeline.fit(split).recommender
-    reference = ItemKNN(20).fit(split.train)
-    assert fitted.exact is exact
-    assert np.array_equal(fitted.predict_matrix(), reference.predict_matrix())
 
 
 def test_spec_round_trip_preserves_the_toggle(tmp_path):
@@ -554,13 +484,12 @@ def test_spec_round_trip_preserves_the_toggle(tmp_path):
     )
     round_tripped = PipelineSpec.from_json(default_spec.to_json())
     assert round_tripped == default_spec
-    assert "exact" not in round_tripped.recommender.params
     # A default spec never serializes a dataset path...
     assert "path" not in default_spec.dataset.to_config()
 
     ann_spec = PipelineSpec(
         recommender=ComponentSpec(
-            "itemknn", params={"k": 5, "exact": False, "dtype": "float32"}
+            "itemknn", params={"k": 5, "dtype": "float32"}
         ),
         dataset=DatasetSpec(key="scale", path=str(tmp_path / "store")),
         evaluation=EvaluationSpec(n=5),
@@ -568,7 +497,7 @@ def test_spec_round_trip_preserves_the_toggle(tmp_path):
     )
     round_tripped = PipelineSpec.from_json(ann_spec.to_json())
     assert round_tripped == ann_spec
-    assert round_tripped.recommender.params["exact"] is False
+    assert round_tripped.recommender.params["dtype"] == "float32"
     assert round_tripped.dataset.path == str(tmp_path / "store")
 
 
@@ -608,7 +537,7 @@ def test_pipeline_fits_and_compiles_from_an_ingest_store(tmp_path):
     ingest_csv(csv_path, store, chunk_size=128)
 
     spec = PipelineSpec(
-        recommender=ComponentSpec("itemknn", params={"k": 10, "exact": False}),
+        recommender=ComponentSpec("itemknn", params={"k": 10}),
         dataset=DatasetSpec(key="scale-test", path=str(store)),
         evaluation=EvaluationSpec(n=5),
         seed=0,
@@ -619,5 +548,4 @@ def test_pipeline_fits_and_compiles_from_an_ingest_store(tmp_path):
     artifact = tmp_path / "artifact"
     compile_artifact(pipeline, artifact)
     manifest = json.loads((artifact / "manifest.json").read_text(encoding="utf-8"))
-    assert "exact" not in manifest
     assert manifest["score_dtype"] == "float64"

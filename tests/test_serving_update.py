@@ -30,7 +30,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 import repro.serving.update as update_module
 from repro.cli import main
@@ -43,7 +42,6 @@ from repro.pipeline import (
     Pipeline,
     PipelineSpec,
 )
-from repro.recommenders.knn import ItemKNN
 from repro.serving import (
     RecommendationStore,
     build_async_service,
@@ -56,9 +54,9 @@ from repro.serving import (
 
 N = 5
 
-#: A pipeline saved by the dense-gram ItemKNN that preceded the blocked scan
-#: (``state.npz`` holds dense ``similarity_``, ``_abs_similarity`` and
-#: ``_gram``), plus the rows its compiled artifact served (``rows.json``).
+#: A format 1 pipeline saved by the dense-gram ItemKNN that preceded the
+#: blocked scan (``state.npz`` holds dense ``similarity_``,
+#: ``_abs_similarity`` and ``_gram``; ``spec.json`` names an executor backend).
 LEGACY_ITEMKNN = Path(__file__).resolve().parent / "data" / "legacy_itemknn_pipeline"
 
 
@@ -215,56 +213,14 @@ class TestUpdateByteIdentity:
         _assert_same_artifact(artifact_dir, scratch_dir)
 
 
-def _artifact_rows(artifact_dir: Path) -> tuple[list, list]:
-    shards = load_manifest(artifact_dir)["shards"]
-    items = np.concatenate([np.load(artifact_dir / entry["items"]) for entry in shards])
-    scores = np.concatenate([np.load(artifact_dir / entry["scores"]) for entry in shards])
-    return items.tolist(), scores.tolist()
-
-
-class TestLegacyItemKNNPipeline:
-    def test_loads_as_csr_and_serves_the_same_rows(self, tmp_path):
-        pipeline = Pipeline.load(LEGACY_ITEMKNN / "pipeline")
-        model = pipeline.recommender
-        assert sparse.issparse(model.similarity_) and sparse.issparse(model._abs_similarity)
-        assert "_gram" not in vars(model)
-        expected = json.loads((LEGACY_ITEMKNN / "rows.json").read_text(encoding="utf-8"))
-        compile_artifact(pipeline, tmp_path / "artifact")
-        assert _artifact_rows(tmp_path / "artifact") == (expected["items"], expected["scores"])
-        assert load_manifest(tmp_path / "artifact")["spec_sha256"] == expected["spec_sha256"]
-
-        refitted = Pipeline(pipeline.spec).fit(pipeline.split)
-        compile_artifact(refitted, tmp_path / "refitted")
-        _assert_same_artifact(tmp_path / "artifact", tmp_path / "refitted")
-
-    def test_accepts_compile_update_deltas(self, tmp_path):
-        pipeline_dir = tmp_path / "pipeline"
-        artifact_dir = tmp_path / "artifact"
-        shutil.copytree(LEGACY_ITEMKNN / "pipeline", pipeline_dir)
-        base = ["--pipeline", str(pipeline_dir), "--artifact", str(artifact_dir)]
-        assert main(["compile", *base, "--shard-size", "8"]) == 0
-        n_users = Pipeline.load(pipeline_dir).split.train.n_users
-
-        # The first delta adds a str user id beside the int ones; the second
-        # must still resolve the int ids to the existing users.
-        for position, body in enumerate(("0,3,1.0\n1,7,2.0\nbrand-new-user,2,1.0\n", "4,5,3.0\n")):
-            delta = tmp_path / f"delta{position}.csv"
-            delta.write_text(body, encoding="utf-8")
-            assert main(["compile", "--update", "--delta", str(delta), *base]) == 0
-
-        updated = Pipeline.load(pipeline_dir)
-        assert updated.split.train.n_users == n_users + 1
-        assert load_manifest(artifact_dir)["revision"] == 3
-        meta = json.loads((pipeline_dir / "manifest.json").read_text(encoding="utf-8"))
-        assert not {"n_projections", "n_candidates", "seed"} & set(meta["recommender"]["meta"])
-        with np.load(pipeline_dir / "state.npz") as state:
-            assert "recommender._gram" not in state.files
-        scratch = ItemKNN(5).fit(updated.split.train)
-        assert (updated.recommender.similarity_ != scratch.similarity_).nnz == 0
-
-        scratch_dir = tmp_path / "scratch"
-        compile_artifact(Pipeline(updated.spec).fit(updated.split), scratch_dir, shard_size=8)
-        _assert_same_artifact(artifact_dir, scratch_dir)
+def test_format_1_pipeline_is_refused_naming_its_directory():
+    """Checked before the spec is parsed, so the retired backend key is never reached."""
+    directory = LEGACY_ITEMKNN / "pipeline"
+    with pytest.raises(DataFormatError) as excinfo:
+        Pipeline.load(directory)
+    message = str(excinfo.value)
+    assert str(directory) in message
+    assert "format 1" in message and "expected 2" in message
 
 
 # --------------------------------------------------------------------------- #

@@ -18,7 +18,6 @@ import pytest
 
 from repro.cli import main
 from repro.exceptions import ConfigurationError, SimulationError
-from repro.parallel.executor import Executor
 from repro.pipeline.pipeline import Pipeline
 from repro.pipeline.spec import (
     ComponentSpec,
@@ -263,12 +262,8 @@ class TestDeterminism:
             scenario="burst", n_events=N_EVENTS, n=N, window=WINDOW,
             seed=42, shards=4, verify=True,
         )
-        reference = run_simulation(
-            StoreSource(sim_artifact_dir), config, executor=Executor(1)
-        )
-        result = run_simulation(
-            StoreSource(sim_artifact_dir), config, executor=Executor(jobs)
-        )
+        reference = run_simulation(StoreSource(sim_artifact_dir), config, n_jobs=1)
+        result = run_simulation(StoreSource(sim_artifact_dir), config, n_jobs=jobs)
         assert result.trace.tobytes() == reference.trace.tobytes()
         assert canonical_bytes(result.report) == canonical_bytes(reference.report)
         assert validate_report(result.report) == []
@@ -414,7 +409,7 @@ class TestCLI:
             "--window", "40", "--seed", "13", "--verify",
         ]
         assert main([*base, "--out", str(out_a)]) == 0
-        assert main([*base, "--jobs", "3", "--backend", "thread", "--out", str(out_b)]) == 0
+        assert main([*base, "--jobs", "3", "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
         report = load_report(out_a)
         assert report["scenario"] == "coldstart"
